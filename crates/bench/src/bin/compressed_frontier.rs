@@ -1,25 +1,27 @@
-//! The compressed-replica frontier: storage cost (bytes/counter) against
-//! query throughput (Melem/s) for each [`ReplicaEncoding`] — raw `u64`
-//! words, the §4 String-Array Index, and the §4.5 Elias-δ compact array.
+//! The compressed-counter frontier: storage cost (bytes/counter) against
+//! query throughput (Melem/s) for each in-memory counter representation —
+//! raw `u64` words, the §4 String-Array Index
+//! ([`sbf_sai::StaticCounterArray`]), and the §4.5 Elias-δ compact array
+//! ([`sbf_sai::CompactCounterArray`]).
 //!
-//! One Zipf-filled sharded sketch (the live backing a production `sbfd`
-//! would hold) is encoded three ways through [`CompressedReplica::build`],
-//! then probed with the same key stream. Two figures of merit per
-//! encoding:
+//! One Zipf-filled sharded sketch is unioned into a single counter
+//! vector, encoded three ways, then probed with the same key stream
+//! through one shared min-of-`k` probe loop. Two figures of merit per
+//! representation:
 //!
 //! * **bytes/counter** — deterministic for a fixed workload (same keys →
 //!   same counters → same encoded bits), so the baseline check allows
 //!   only a small drift before failing: a jump means the encoder itself
 //!   regressed.
-//! * **vs-raw throughput ratio** — each round times the raw-encoded
-//!   replica and the compressed one back to back in alternating order,
-//!   and the recorded figure is the median of the per-round paired
-//!   ratios. Like the `hotpath` speedups, a ratio of two legs measured on
-//!   the same machine in the same instant transfers between machines;
-//!   absolute Melem/s is reported but not gated.
+//! * **vs-raw throughput ratio** — each round times the raw vector and
+//!   the compressed one back to back in alternating order, and the
+//!   recorded figure is the median of the per-round paired ratios. Like
+//!   the `hotpath` speedups, a ratio of two legs measured on the same
+//!   machine in the same instant transfers between machines; absolute
+//!   Melem/s is reported but not gated.
 //!
 //! The sanity floor that needs no baseline at all: both compressed
-//! encodings must beat raw on bytes/counter, and every encoding must
+//! representations must beat raw on bytes/counter, and every one must
 //! return bit-identical estimates (they all encode the same union).
 //!
 //! ```text
@@ -31,12 +33,13 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use sbf_server::{CompressedReplica, ReplicaEncoding};
+use sbf_hash::{HashFamily, MAX_K};
+use sbf_sai::{CompactCounterArray, StaticCounterArray};
 use sbf_workloads::ZipfWorkload;
-use spectral_bloom::{MsSbf, ShardedSketch};
+use spectral_bloom::{CounterStore, DefaultFamily, MsSbf, ShardedSketch};
 
-/// Counters per shard (and in the union the replica encodes): 2^20 keeps
-/// the probe working set past L2 so lookup cost differences are real.
+/// Counters per shard (and in the union being encoded): 2^20 keeps the
+/// probe working set past L2 so lookup cost differences are real.
 const M: usize = 1 << 20;
 const K: usize = 5;
 const SEED: u64 = 42;
@@ -49,9 +52,9 @@ const DISTINCT: usize = 60_000;
 /// Probe stream length per timed leg.
 const PROBES: usize = 200_000;
 const ROUNDS: usize = 7;
-/// Allowed relative *increase* of an encoding's bytes/counter over the
-/// baseline. The figure is deterministic for the fixed workload, so any
-/// real movement is an encoder change; the slack only covers future
+/// Allowed relative *increase* of a representation's bytes/counter over
+/// the baseline. The figure is deterministic for the fixed workload, so
+/// any real movement is an encoder change; the slack only covers future
 /// intentional metadata tweaks small enough not to matter.
 const BYTES_TOLERANCE: f64 = 0.05;
 /// Allowed relative drop of the vs-raw throughput ratio — wider than the
@@ -63,39 +66,47 @@ struct Frontier {
     name: &'static str,
     bytes_per_counter: f64,
     melem_s: f64,
-    /// Median paired throughput ratio `this encoding / raw` (1.0 for raw).
+    /// Median paired throughput ratio `this representation / raw` (1.0
+    /// for raw).
     vs_raw: f64,
 }
 
-/// Sums estimates over the probe stream — the timed unit of work, and
-/// (summed) the cross-encoding bit-identity check.
-fn probe_sum(rep: &CompressedReplica, probes: &[u64]) -> u64 {
+/// Sums min-of-`k` estimates over the probe stream — the timed unit of
+/// work, and (summed) the cross-representation bit-identity check. Every
+/// representation runs this same loop; only the counter lookup `get`
+/// differs.
+fn probe_sum(family: &DefaultFamily, get: impl Fn(usize) -> u64, probes: &[u64]) -> u64 {
+    let k = family.k();
+    let mut idx = [0usize; MAX_K];
     let mut acc = 0u64;
     for &v in probes {
-        acc = acc.wrapping_add(rep.estimate(&v.to_le_bytes()));
+        family.indexes_into(&v.to_le_bytes().as_slice(), &mut idx[..k]);
+        let estimate = idx[..k].iter().map(|&i| get(i)).min().unwrap_or(0);
+        acc = acc.wrapping_add(estimate);
     }
     acc
 }
 
-/// Times `rep` against the raw replica with the hotpath pairing protocol:
-/// alternating order within each round, median of per-round ratios.
-fn race(raw: &CompressedReplica, rep: &CompressedReplica, probes: &[u64]) -> (f64, f64) {
-    black_box(probe_sum(raw, probes));
-    black_box(probe_sum(rep, probes));
+/// Times the `this` leg against the `raw` leg with the hotpath pairing
+/// protocol: alternating order within each round, median of per-round
+/// ratios. Returns `(best Melem/s of this, median raw/this time ratio)`.
+fn race(raw: &dyn Fn() -> u64, this: &dyn Fn() -> u64, probes: usize) -> (f64, f64) {
+    black_box(raw());
+    black_box(this());
     let mut raw_times = Vec::with_capacity(ROUNDS);
-    let mut rep_times = Vec::with_capacity(ROUNDS);
+    let mut this_times = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {
         let order = [round % 2 == 1, round % 2 == 0];
         for this_leg in order {
             let t = Instant::now();
             if this_leg {
-                black_box(probe_sum(rep, probes));
+                black_box(this());
             } else {
-                black_box(probe_sum(raw, probes));
+                black_box(raw());
             }
             let elapsed = t.elapsed().as_secs_f64();
             if this_leg {
-                rep_times.push(elapsed);
+                this_times.push(elapsed);
             } else {
                 raw_times.push(elapsed);
             }
@@ -103,11 +114,11 @@ fn race(raw: &CompressedReplica, rep: &CompressedReplica, probes: &[u64]) -> (f6
     }
     let mut ratios: Vec<f64> = raw_times
         .iter()
-        .zip(&rep_times)
-        .map(|(raw_t, rep_t)| raw_t / rep_t)
+        .zip(&this_times)
+        .map(|(raw_t, this_t)| raw_t / this_t)
         .collect();
     ratios.sort_by(|a, b| a.total_cmp(b));
-    let best = probes.len() as f64 / rep_times.iter().copied().fold(f64::INFINITY, f64::min) / 1e6;
+    let best = probes as f64 / this_times.iter().copied().fold(f64::INFINITY, f64::min) / 1e6;
     (best, ratios[ratios.len() / 2])
 }
 
@@ -119,23 +130,36 @@ fn measure() -> Vec<Frontier> {
     // read mix a cache in front of the same traffic would see.
     let probes = &zipf[..PROBES.min(zipf.len())];
 
-    let raw = CompressedReplica::build(&live, K, SEED, ReplicaEncoding::Raw);
-    let sai = CompressedReplica::build(&live, K, SEED, ReplicaEncoding::Sai);
-    let elias = CompressedReplica::build(&live, K, SEED, ReplicaEncoding::Elias);
+    // The §5 union of the shards, probed under the shards' own family.
+    let union = live.snapshot();
+    let store = union.core().store();
+    let raw: Vec<u64> = (0..M).map(|i| store.get(i)).collect();
+    let sai = StaticCounterArray::from_counters(&raw);
+    let elias = CompactCounterArray::from_counters(&raw);
+    let family = DefaultFamily::new(M, K, SEED);
 
-    // Every encoding answers from the same union: estimates must agree
+    let raw_leg = || probe_sum(&family, |i| raw[i], probes);
+    let sai_leg = || probe_sum(&family, |i| sai.get(i), probes);
+    let elias_leg = || probe_sum(&family, |i| elias.get(i), probes);
+
+    // Every representation encodes the same union: estimates must agree
     // bit for bit before any of the numbers mean anything.
-    let want = probe_sum(&raw, probes);
-    assert_eq!(want, probe_sum(&sai, probes), "sai estimates diverge");
-    assert_eq!(want, probe_sum(&elias, probes), "elias estimates diverge");
+    let want = raw_leg();
+    assert_eq!(want, sai_leg(), "sai estimates diverge");
+    assert_eq!(want, elias_leg(), "elias estimates diverge");
 
-    [("raw", &raw), ("sai", &sai), ("elias", &elias)]
-        .into_iter()
-        .map(|(name, rep)| {
-            let (melem_s, vs_raw) = race(&raw, rep, probes);
+    let bytes_per_counter = |bits: usize| bits as f64 / 8.0 / M as f64;
+    let legs: [(&str, &dyn Fn() -> u64, usize); 3] = [
+        ("raw", &raw_leg, raw.len() * 64),
+        ("sai", &sai_leg, sai.size_breakdown().total_bits()),
+        ("elias", &elias_leg, elias.total_bits()),
+    ];
+    legs.into_iter()
+        .map(|(name, leg, bits)| {
+            let (melem_s, vs_raw) = race(&raw_leg, leg, probes.len());
             Frontier {
                 name,
-                bytes_per_counter: rep.bytes_per_counter(),
+                bytes_per_counter: bytes_per_counter(bits),
                 melem_s,
                 vs_raw,
             }
@@ -173,7 +197,7 @@ fn main() {
     let rows = measure();
     println!(
         "{:<8} {:>14} {:>12} {:>9}",
-        "encoding", "bytes/counter", "Melem/s", "vs raw"
+        "counters", "bytes/counter", "Melem/s", "vs raw"
     );
     for r in &rows {
         println!(
@@ -248,7 +272,7 @@ fn main() {
                 eprintln!("FAIL: compressed frontier regressed vs {path}");
                 std::process::exit(1);
             }
-            println!("OK: compressed frontier within tolerance on every encoding");
+            println!("OK: compressed frontier within tolerance on every representation");
         }
         Some(other) => {
             eprintln!("usage: compressed_frontier [--record <path> | --check <path>] ({other}?)");
