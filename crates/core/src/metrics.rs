@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | `sbf_inserts_total` | counter | `insert_by` calls on any sketch |
 //! | `sbf_removes_total` | counter | `remove_by` calls on any sketch |
-//! | `sbf_estimates_total` | counter | `estimate` calls on any sketch |
+//! | `sbf_estimates_total` | counter | keys estimated by any sketch (a two-tier read counts once) |
 //! | `sbf_estimate_values` | histogram | distribution of returned estimates |
 //! | `sbf_atomic_cas_retries_total` | counter | failed CAS attempts in [`crate::AtomicCounters`] |
 //! | `sbf_counter_saturations_total` | counter | counter increments clamped at `u64::MAX` |

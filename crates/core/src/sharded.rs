@@ -326,10 +326,30 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
     /// into input order. Steady-state allocation-free (shared scratch +
     /// caller-reused `out`).
     pub fn estimate_batch_into<K: Key>(&self, keys: &[K], out: &mut Vec<u64>) {
+        self.read_batch_into(
+            keys,
+            out,
+            |shard, out| shard.estimate_batch_into(keys, out),
+            |shard, picks, vals| shard.estimate_batch_picked_into(keys, picks, vals),
+        );
+    }
+
+    /// The shared read-batch driver: with one shard, `whole(shard, out)`
+    /// answers the batch in place; otherwise the batch is partitioned
+    /// once, `picked(shard, picks, vals)` appends each owning shard's
+    /// answers (under one read lock per shard), and they are scattered
+    /// back so `out[i]` answers `keys[i]`.
+    fn read_batch_into<K: Key>(
+        &self,
+        keys: &[K],
+        out: &mut Vec<u64>,
+        whole: impl FnOnce(&SK, &mut Vec<u64>),
+        mut picked: impl FnMut(&SK, &[u32], &mut Vec<u64>),
+    ) {
         out.clear();
         if self.shards.len() == 1 {
             let shard = lock_unpoisoned(self.shards[0].read());
-            shard.estimate_batch_into(keys, out);
+            whole(&shard, out);
             return;
         }
         let mut local = PartitionScratch::default();
@@ -348,7 +368,7 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
                 continue;
             }
             let shard = lock_unpoisoned(self.shards[s].read());
-            shard.estimate_batch_picked_into(keys, picks, &mut scratch.vals);
+            picked(&shard, picks, &mut scratch.vals);
         }
         out.resize(keys.len(), 0);
         for (pos, &i) in scratch.order.iter().enumerate() {
@@ -534,6 +554,95 @@ impl<SK: MultisetSketch> ShardedSketch<SK> {
                 .set_u64(ops);
         }
     }
+}
+
+/// The folded two-tier read: live shards plus a whole-range `base` filter
+/// of the same family, answered in one pass.
+///
+/// A `base` holds mass for *every* key (a §5 union shipped from elsewhere),
+/// so it cannot live in one shard; it is read beside the owning shard
+/// instead. Each key is hashed once, and the estimate is `min_k(shard) +
+/// min_k(base)` over the shared indices — one-sided, because each minimum
+/// bounds its own tier's frequency from above. The minimum of the
+/// counter-wise sum, `min_k(shard[c] + base[c])`, costs the same but is
+/// never tighter (`min(a + b) ≥ min(a) + min(b)`), and looser whenever the
+/// two minima fall on different counters. With an all-zero `base` the
+/// answers equal [`ShardedSketch::estimate`]'s.
+impl<F: HashFamily + PartialEq, S: CounterStore> ShardedSketch<MsSbf<F, S>> {
+    /// The two-tier estimate of one key: the owning shard's minimum plus
+    /// `base`'s minimum over the key's `k` counters, hashed once
+    /// (read-locks the owning shard).
+    ///
+    /// # Panics
+    ///
+    /// If `base` was built with different parameters or hash functions
+    /// than the shard (checked once per call).
+    pub fn estimate_folded<K: Key + ?Sized, S2: CounterStore>(
+        &self,
+        key: &K,
+        base: &MsSbf<F, S2>,
+    ) -> u64 {
+        let shard = lock_unpoisoned(self.shards[self.shard_of(key)].read());
+        assert_foldable(&shard, base);
+        let est = shard
+            .core()
+            .tiered_min_of_idx(base.core(), &shard.core().family().indexes(key));
+        drop(shard);
+        metrics::on(|m| {
+            m.estimates.inc();
+            m.estimate_values.observe(est);
+        });
+        est
+    }
+
+    /// [`ShardedSketch::estimate_folded`] for every key, writing `out[i]`
+    /// for `keys[i]`: the partition, per-shard read locks and scatter of
+    /// [`ShardedSketch::estimate_batch_into`], with each shard's pipelined
+    /// batch reading its own counters and `base`'s in one pass.
+    ///
+    /// # Panics
+    ///
+    /// If `base` is incompatible with a shard the batch reads (checked once
+    /// per shard lock).
+    pub fn estimate_batch_folded_into<K: Key, S2: CounterStore>(
+        &self,
+        keys: &[K],
+        base: &MsSbf<F, S2>,
+        out: &mut Vec<u64>,
+    ) {
+        self.read_batch_into(
+            keys,
+            out,
+            |shard, out| {
+                assert_foldable(shard, base);
+                shard.core().tiered_min_batch_into(base.core(), keys, out);
+            },
+            |shard, picks, vals| {
+                assert_foldable(shard, base);
+                shard
+                    .core()
+                    .tiered_min_batch_picked_into(base.core(), keys, picks, vals);
+            },
+        );
+        metrics::on(|m| {
+            m.estimates.add(num::to_u64(keys.len()));
+            for &est in out.iter() {
+                m.estimate_values.observe(est);
+            }
+        });
+    }
+}
+
+/// The fold's precondition: counter vectors only add index-wise across
+/// identical parameters and hash functions (§2.2).
+fn assert_foldable<F: HashFamily + PartialEq, S: CounterStore, S2: CounterStore>(
+    shard: &MsSbf<F, S>,
+    base: &MsSbf<F, S2>,
+) {
+    assert!(
+        shard.core().compatible(base.core()),
+        "fold requires identical parameters and hash functions"
+    );
 }
 
 impl<SK: MultisetSketch> SketchReader for ShardedSketch<SK> {
@@ -737,6 +846,39 @@ mod tests {
             assert_eq!(merged.estimate(key), single.estimate(key));
             assert!(sharded.estimate(key) >= 1);
         }
+    }
+
+    #[test]
+    fn folded_batch_equals_folded_singles_across_lane_boundaries() {
+        for shards in [1usize, 4] {
+            let live = ShardedSketch::with_shards(shards, |_| MsSbf::new(2048, 5, 4));
+            let mut base = MsSbf::new(2048, 5, 4);
+            let empty = MsSbf::new(2048, 5, 4);
+            for key in 0u64..1500 {
+                live.insert_by(&key, key % 3 + 1);
+                base.insert_by(&(key * 7), key % 5 + 1);
+            }
+            // Below, at and beyond one lane group, with a remainder, and a
+            // full wire-sized batch; half the keys were never inserted.
+            for n in [1usize, 3, 4, 5, 1024] {
+                let keys: Vec<u64> = (0..n as u64).map(|i| i * 3).collect();
+                let mut batch = Vec::new();
+                live.estimate_batch_folded_into(&keys, &base, &mut batch);
+                for (key, &est) in keys.iter().zip(&batch) {
+                    assert_eq!(est, live.estimate_folded(key, &base), "{shards}x n={n}");
+                    assert_eq!(est, live.estimate(key) + base.estimate(key), "{shards}x");
+                }
+                live.estimate_batch_folded_into(&keys, &empty, &mut batch);
+                assert_eq!(batch, live.estimate_batch(&keys), "{shards}x n={n}, empty");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "identical parameters")]
+    fn fold_rejects_an_incompatible_base() {
+        let live = ShardedSketch::with_shards(2, |_| MsSbf::new(512, 4, 1));
+        let _ = live.estimate_folded(&1u64, &MsSbf::new(512, 4, 2));
     }
 
     #[test]

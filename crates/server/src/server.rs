@@ -15,10 +15,16 @@
 //! MERGE mass cannot go into the sharded sketch: a key's estimate there
 //! reads only its owning shard, while an external frame carries mass for
 //! *every* key, so folding it into one shard would hide it from most
-//! queries and break the one-sided contract. Keeping it in a separate
-//! whole-range filter and answering ESTIMATE with `live + remote`
-//! preserves one-sidedness: each term upper-bounds the mass ingested on
-//! its side, so the sum upper-bounds the true total frequency.
+//! queries and break the one-sided contract. So it stays in a separate
+//! whole-range filter, and ESTIMATE and ESTIMATE_BATCH read both filters
+//! in one pass ([`ShardedSketch::estimate_folded`]): each key is hashed
+//! once, its `k` counters are read in the owning shard and in the remote
+//! filter, and the answer is the minimum over the live counters plus the
+//! minimum over the remote ones (saturating). Each minimum upper-bounds
+//! the mass ingested on its side, so the sum upper-bounds the true total
+//! frequency. The minimum of the counter-wise sum would also be one-sided,
+//! but never tighter (`min(a + b) ≥ min(a) + min(b)`), and looser whenever
+//! the two minima fall on different counters.
 //! SNAPSHOT returns the counter-wise sum of both (the §5 union), which is
 //! exactly what a client would get by merging the two envelopes itself.
 //!
@@ -537,11 +543,19 @@ impl SharedState {
         metrics::on(|m| m.connections_active.set_u64(now as u64));
     }
 
-    /// One-sided estimate across both filters (see the module docs).
+    /// Connections this server's reactor currently holds. Unlike the
+    /// process-global `sbfd_connections_active` gauge, which every
+    /// in-process server overwrites, this is this server's own count.
+    pub fn connections_active(&self) -> usize {
+        self.active.load(Ordering::Relaxed)
+    }
+
+    /// One-sided estimate across both filters, read in one pass (see the
+    /// module docs). Lock order: `remote` read, then the owning shard's
+    /// read lock.
     fn estimate_one(&self, key: &[u8]) -> u64 {
-        let live = self.sketch.estimate(key);
-        let remote = lock_unpoisoned(self.remote.read()).estimate(key);
-        live.saturating_add(remote)
+        let remote = lock_unpoisoned(self.remote.read());
+        self.sketch.estimate_folded(key, &remote)
     }
 
     /// The §5 union of both filters — live shards plus the remote mass —
@@ -653,11 +667,9 @@ impl SharedState {
             Request::EstimateBatch { keys } => {
                 metrics::on(|m| m.batch_keys.add(keys.len() as u64));
                 let mut out = Vec::new();
-                self.sketch.estimate_batch_into(keys, &mut out);
                 let remote = lock_unpoisoned(self.remote.read());
-                for (v, key) in out.iter_mut().zip(keys) {
-                    *v = v.saturating_add(remote.estimate(key));
-                }
+                self.sketch
+                    .estimate_batch_folded_into(keys, &remote, &mut out);
                 Response::Values(out)
             }
             Request::Merge { envelope } => self.apply_merge(envelope),

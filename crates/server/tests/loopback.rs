@@ -140,9 +140,11 @@ fn merge_unions_a_remote_site() {
     let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
     let mut client = connect(handle.addr());
     client.insert(b"local-key", 4).unwrap();
+    client.insert(b"both-key", 3).unwrap();
 
     let mut site_b = MsSbf::new(M, K, SEED);
     site_b.insert_by(&b"remote-key".as_slice(), 9);
+    site_b.insert_by(&b"both-key".as_slice(), 5);
     let store = site_b.core().store();
     let env = FilterEnvelope {
         kind: FilterKind::MinimumSelection,
@@ -156,15 +158,22 @@ fn merge_unions_a_remote_site() {
     let local = client.estimate(b"local-key").unwrap();
     assert!(remote >= 9);
     assert!(local >= 4);
-    // ESTIMATE_BATCH sums the same live and remote terms per key.
+    // A key with mass in both tiers: local 3 plus remote 5.
+    let both = client.estimate(b"both-key").unwrap();
+    assert!(both >= 3 + 5);
+    // ESTIMATE_BATCH reads the same live and remote terms per key.
     let batch = client
-        .estimate_batch(&[b"remote-key".to_vec(), b"local-key".to_vec()])
+        .estimate_batch(&[
+            b"remote-key".to_vec(),
+            b"local-key".to_vec(),
+            b"both-key".to_vec(),
+        ])
         .unwrap();
-    assert_eq!(batch, vec![remote, local]);
+    assert_eq!(batch, vec![remote, local, both]);
 
     let snap = FilterEnvelope::decode(&client.snapshot().unwrap()).unwrap();
     let total: u64 = snap.counters.iter().sum();
-    assert_eq!(total, (4 + 9) * K as u64);
+    assert_eq!(total, (4 + 3 + 9 + 5) * K as u64);
 
     // Geometry mismatch is a typed Incompatible error.
     let bad = FilterEnvelope {

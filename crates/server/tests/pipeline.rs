@@ -156,7 +156,6 @@ fn an_oversized_frame_mid_pipeline_resyncs_the_stream() {
 #[test]
 fn a_thousand_idle_connections_are_held_by_four_workers() {
     const IDLE: usize = 1000;
-    sbf_telemetry::set_enabled(true);
     let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
     let addr = handle.addr();
 
@@ -173,26 +172,21 @@ fn a_thousand_idle_connections_are_held_by_four_workers() {
     let estimates = client.estimate_batch(&keys).unwrap();
     assert!(estimates.iter().all(|&e| e >= 1), "service while parked");
 
-    // The reactor is actually holding them: the active-connections gauge
-    // counts every parked peer (registration can trail the last connect,
-    // so poll briefly).
+    // The reactor is actually holding them: this server's own
+    // active-connection count includes every parked peer (registration can
+    // trail the last connect, so poll briefly). The process-global
+    // `sbfd_connections_active` gauge is no witness here: any other server
+    // in this test binary overwrites it with its own count.
+    let state = handle.state();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut active = 0u64;
-    while std::time::Instant::now() < deadline {
-        let text = client.stats().unwrap();
-        active = text
-            .lines()
-            .find_map(|l| l.strip_prefix("sbfd_connections_active "))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0);
-        if active > IDLE as u64 {
-            break;
-        }
+    let mut active = state.connections_active();
+    while active <= IDLE && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
+        active = state.connections_active();
     }
     assert!(
-        active > IDLE as u64,
-        "expected > {IDLE} registered connections, gauge says {active}"
+        active > IDLE,
+        "expected > {IDLE} registered connections, server holds {active}"
     );
 
     drop(idlers);
