@@ -82,6 +82,11 @@ pub trait ConcurrentCounterStore: Send + Sync {
 /// All operations use relaxed ordering: counters are independent statistics
 /// and every consumer tolerates reordering between counters (the estimate
 /// is a min over values that only grow under the MS workload).
+///
+/// Unlike [`PlainCounters`], the array is not advised onto huge pages:
+/// `with_len` builds it by writing every element, so its pages are faulted
+/// in (as 4 KiB pages) before any advice could apply. `sbfd` does not use
+/// this store.
 #[derive(Debug, Default)]
 pub struct AtomicCounters {
     counters: Vec<AtomicU64>,

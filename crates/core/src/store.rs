@@ -141,9 +141,22 @@ pub trait CounterStore {
 }
 
 /// One machine word per counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every array is allocated in [`CounterStore::with_len`], which advises
+/// transparent huge pages on it ([`sbf_hash::advise_huge_pages`]) before
+/// any page is touched. A clone goes through the same path, so it gets
+/// huge pages too.
+#[derive(Debug, PartialEq, Eq)]
 pub struct PlainCounters {
     counters: Vec<u64>,
+}
+
+impl Clone for PlainCounters {
+    fn clone(&self) -> Self {
+        let mut copy = Self::with_len(self.counters.len());
+        copy.counters.copy_from_slice(&self.counters);
+        copy
+    }
 }
 
 impl PlainCounters {
@@ -160,9 +173,12 @@ impl PlainCounters {
 
 impl CounterStore for PlainCounters {
     fn with_len(m: usize) -> Self {
-        PlainCounters {
-            counters: vec![0; m],
-        }
+        // `vec![0; m]` asks for zeroed memory, which for a large array is a
+        // fresh mapping with no page touched yet, so the advice lands before
+        // the first fault.
+        let counters = vec![0; m];
+        sbf_hash::advise_huge_pages(&counters);
+        PlainCounters { counters }
     }
 
     #[inline]
@@ -396,5 +412,49 @@ mod tests {
         }
         // ~1 bit per counter + bookkeeping: far below the plain 640k bits.
         assert!(c.storage_bits() < PlainCounters::with_len(10_000).storage_bits());
+    }
+
+    /// The `VmFlags` of the `/proc/self/smaps` mapping that contains `addr`.
+    #[cfg(target_os = "linux")]
+    fn vm_flags_at(addr: usize) -> Option<String> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut inside = false;
+        for line in smaps.lines() {
+            let first = line.split_whitespace().next().unwrap_or("");
+            if let Some((lo, hi)) = first.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    inside = (lo..hi).contains(&addr);
+                    continue;
+                }
+            }
+            if let Some(flags) = line.strip_prefix("VmFlags:").filter(|_| inside) {
+                return Some(flags.to_string());
+            }
+        }
+        None
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn large_plain_counters_and_their_clones_are_advised_onto_huge_pages() {
+        if !std::path::Path::new("/sys/kernel/mm/transparent_hugepage/enabled").exists() {
+            println!("skipped: this kernel has no transparent huge pages");
+            return;
+        }
+        let mut original = PlainCounters::with_len(1 << 22);
+        original.increment(12_345, 7);
+        let copy = original.clone();
+        assert_eq!(copy, original);
+        for (name, store) in [("with_len", &original), ("clone", &copy)] {
+            let counters = store.as_slice();
+            let mid = counters.as_ptr() as usize + std::mem::size_of_val(counters) / 2;
+            let flags = vm_flags_at(mid).expect("the array's mapping is listed in smaps");
+            assert!(
+                flags.split_whitespace().any(|f| f == "hg"),
+                "{name}: VmFlags{flags} lack `hg`"
+            );
+        }
     }
 }

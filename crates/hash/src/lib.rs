@@ -28,11 +28,12 @@
 // ad-hoc `unwrap`/`expect` (ISSUE 4 lint wall); tests keep idiomatic unwraps.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // `deny` rather than `forbid`: the `prefetch` and `dispatch` modules
-// narrowly re-allow unsafe for the architecture intrinsics they wrap (a
-// faultless cache hint; runtime-feature-gated SIMD kernels with documented
-// safety arguments); everything else in the crate remains statically
-// unsafe-free, and downstream crates (`spectral-bloom` among them) keep
-// their own `#![forbid(unsafe_code)]`.
+// narrowly re-allow unsafe for the architecture intrinsics and system call
+// they wrap (a faultless cache hint; the `madvise` huge-page hint;
+// runtime-feature-gated SIMD kernels with documented safety arguments);
+// everything else in the crate remains statically unsafe-free, and
+// downstream crates (`spectral-bloom` among them) keep their own
+// `#![forbid(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -51,7 +52,9 @@ pub use dispatch::{set_simd_level, simd_level, SimdLevel, LANES};
 pub use family::{DoubleHashFamily, HashFamily, MixFamily, MultiplyFamily};
 pub use key::Key;
 pub use mix::{fmix64, splitmix64, SplitMix64};
-pub use prefetch::{prefetch_read, prefetch_slice, prefetch_slice_write, prefetch_write};
+pub use prefetch::{
+    advise_huge_pages, prefetch_read, prefetch_slice, prefetch_slice_write, prefetch_write,
+};
 pub use quality::{collision_rate, stride_correlation, uniformity, UniformityReport};
 pub use tabulation::TabulationFamily;
 

@@ -1,4 +1,4 @@
-//! Software prefetch hints for the batched SBF hot path.
+//! Memory hints for the SBF hot path: software prefetch and huge pages.
 //!
 //! At production filter sizes (`m` counters ≫ L2) every insert or estimate
 //! is `k` scattered counter accesses, and the hot path is bound by cache
@@ -14,10 +14,16 @@
 //! sound to expose as safe functions. On architectures without a stable
 //! prefetch intrinsic the functions compile to nothing and the pipeline
 //! degrades gracefully to hash-ahead batching.
+//!
+//! [`advise_huge_pages`] is the page-level version of the same idea: it
+//! asks the kernel to back a large counter array with 2 MiB transparent
+//! huge pages, so the array's scattered accesses stay within TLB reach.
+//! Like a prefetch it is advice only: it changes no value, and the kernel
+//! may ignore it.
 
-// The crate is `deny(unsafe_code)`; the intrinsic call is confined to this
-// module so every other line of the hash crate stays statically
-// unsafe-free.
+// The crate is `deny(unsafe_code)`; the intrinsic and system calls are
+// confined to this module so every other line of the hash crate stays
+// statically unsafe-free.
 #![allow(unsafe_code)]
 
 /// Hints the CPU to pull the cache line containing `p` into all cache
@@ -84,9 +90,60 @@ pub fn prefetch_slice_write<T>(slice: &[T], i: usize) {
     }
 }
 
+/// Size of an x86-64 / aarch64 (4 KiB base page) transparent huge page.
+const HUGE_PAGE_BYTES: usize = 2 << 20;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+}
+
+/// `MADV_HUGEPAGE` from `<asm-generic/mman-common.h>`.
+#[cfg(target_os = "linux")]
+const MADV_HUGEPAGE: i32 = 14;
+
+/// Asks the kernel to back `slice` with transparent huge pages.
+///
+/// Call it right after allocating a large array and before touching it:
+/// pages the array has not faulted yet then fault in 2 MiB at a time. The
+/// advice covers only the part of the slice that is aligned to whole huge
+/// pages, so it never reaches memory outside the slice. It is a no-op off
+/// Linux and for slices under 2 MiB. The result of `madvise` is ignored,
+/// as a prefetch's would be: a host with THP set to `never` simply keeps
+/// 4 KiB pages.
+pub fn advise_huge_pages<T>(slice: &[T]) {
+    let start = slice.as_ptr() as usize;
+    let end = start + std::mem::size_of_val(slice);
+    let lo = start.next_multiple_of(HUGE_PAGE_BYTES);
+    let hi = end & !(HUGE_PAGE_BYTES - 1);
+    if lo >= hi {
+        return;
+    }
+    #[cfg(target_os = "linux")]
+    // SAFETY: `lo..hi` lies inside memory the slice borrows, and `lo` is
+    // page aligned. MADV_HUGEPAGE only sets a flag on the mapping: it never
+    // changes, frees or unmaps the memory, so every value in the slice (and
+    // outside it) is unchanged whether the call succeeds or fails.
+    unsafe {
+        madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn advising_huge_pages_changes_no_value() {
+        advise_huge_pages::<u64>(&[]);
+        let small: Vec<u64> = (0..1000).collect();
+        advise_huge_pages(&small);
+        assert!(small.iter().copied().eq(0..1000));
+        let big: Vec<u64> = (0..(16 << 20) / 8).collect();
+        advise_huge_pages(&big[3..big.len() - 5]);
+        advise_huge_pages(&big);
+        assert!(big.iter().copied().eq(0..(16 << 20) / 8));
+    }
 
     #[test]
     fn prefetch_is_harmless_everywhere() {

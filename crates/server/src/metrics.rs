@@ -36,6 +36,7 @@
 //! | `sbfd_repl_shipped_total` | counter | mutation frames acknowledged by the replica |
 //! | `sbfd_repl_lag_bytes` | gauge | mutation bytes applied locally but not yet replicated (reset to zero by a resync) |
 //! | `sbfd_repl_resyncs_total` | counter | replica links (re)established via snapshot bootstrap |
+//! | `sbfd_anon_hugepage_bytes` | gauge | anonymous memory on transparent huge pages (`AnonHugePages` of `/proc/self/smaps_rollup`), read at each STATS |
 
 use crate::sync::{Arc, OnceLock};
 
@@ -113,6 +114,8 @@ pub struct ServerMetrics {
     pub repl_lag_bytes: Arc<Gauge>,
     /// `sbfd_repl_resyncs_total`.
     pub repl_resyncs: Arc<Counter>,
+    /// `sbfd_anon_hugepage_bytes`.
+    pub anon_hugepage_bytes: Arc<Gauge>,
 }
 
 impl ServerMetrics {
@@ -163,6 +166,7 @@ pub fn server_metrics() -> &'static ServerMetrics {
             repl_shipped: reg.counter("sbfd_repl_shipped_total"),
             repl_lag_bytes: reg.gauge("sbfd_repl_lag_bytes"),
             repl_resyncs: reg.counter("sbfd_repl_resyncs_total"),
+            anon_hugepage_bytes: reg.gauge("sbfd_anon_hugepage_bytes"),
         }
     })
 }
@@ -173,6 +177,29 @@ pub(crate) fn on(f: impl FnOnce(&ServerMetrics)) {
     if sbf_telemetry::enabled() {
         f(server_metrics());
     }
+}
+
+/// Sets `sbfd_anon_hugepage_bytes` from the kernel's accounting: how much
+/// of the process's anonymous memory (the counter arrays, at sbfd's sizes)
+/// sits on transparent huge pages. Reads one small procfs file, so it is
+/// called per STATS request, not on the data path. Publishes 0 off Linux
+/// or when the file is unreadable, which is also what a host with THP set
+/// to `never` reports.
+pub(crate) fn publish_anon_hugepage_bytes() {
+    on(|m| {
+        let rollup = std::fs::read_to_string("/proc/self/smaps_rollup").unwrap_or_default();
+        m.anon_hugepage_bytes
+            .set_u64(anon_hugepage_bytes(&rollup).unwrap_or(0));
+    });
+}
+
+/// The `AnonHugePages:` line of a `smaps_rollup` text, in bytes.
+fn anon_hugepage_bytes(rollup: &str) -> Option<u64> {
+    let line = rollup
+        .lines()
+        .find_map(|l| l.strip_prefix("AnonHugePages:"))?;
+    let kib = line.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()?;
+    Some(kib * 1024)
 }
 
 #[cfg(test)]
@@ -198,5 +225,16 @@ mod tests {
         let before = m.requests_for("merge").get();
         m.requests_for("merge").inc();
         assert_eq!(m.requests_for("merge").get(), before + 1);
+    }
+
+    #[test]
+    fn anon_hugepage_bytes_reads_the_rollup_line() {
+        let rollup = "Rss:              528400 kB\n\
+                      AnonHugePages:    516096 kB\n\
+                      Swap:                  0 kB\n";
+        assert_eq!(anon_hugepage_bytes(rollup), Some(516_096 * 1024));
+        assert_eq!(anon_hugepage_bytes("AnonHugePages:  0 kB\n"), Some(0));
+        assert_eq!(anon_hugepage_bytes(""), None);
+        assert_eq!(anon_hugepage_bytes("AnonHugePages: lots\n"), None);
     }
 }

@@ -689,6 +689,7 @@ impl SharedState {
             Request::Snapshot => Response::Frame(self.snapshot_envelope()),
             Request::Stats => {
                 self.sketch.publish_metrics();
+                metrics::publish_anon_hugepage_bytes();
                 Response::Text(sbf_telemetry::global().snapshot().to_prometheus())
             }
             Request::Shutdown => {

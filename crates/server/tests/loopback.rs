@@ -205,6 +205,24 @@ fn stats_exposes_server_metrics() {
     handle.shutdown_and_join().unwrap();
 }
 
+/// STATS reports how much memory sits on transparent huge pages, so an
+/// operator can tell whether the counter arrays got them (on a host with
+/// THP set to `never` the gauge reads 0).
+#[test]
+fn stats_reports_anon_hugepage_bytes() {
+    sbf_telemetry::set_enabled(true);
+    let handle = SbfServer::bind(test_config()).unwrap().spawn().unwrap();
+    let mut client = connect(handle.addr());
+    let text = client.stats().unwrap();
+    let value = text
+        .lines()
+        .find_map(|l| l.strip_prefix("sbfd_anon_hugepage_bytes "))
+        .unwrap_or_else(|| panic!("stats must carry sbfd_anon_hugepage_bytes, got:\n{text}"));
+    let bytes: f64 = value.parse().expect("the gauge is a number");
+    assert!(bytes >= 0.0 && bytes.fract() == 0.0, "{bytes}");
+    handle.shutdown_and_join().unwrap();
+}
+
 /// Malformed input never kills the connection, let alone the server:
 /// every bad frame gets a typed error frame and the same socket then
 /// serves a normal request.
