@@ -2,11 +2,15 @@
 //!
 //! `server/src/proto.rs` is the single source of truth for the frame
 //! protocol: `OP_*` opcode constants, the `Request` / `Response` enums,
-//! and `ErrorCode`. This pass parses those from the token stream and
-//! checks that
+//! the borrowed `RequestRef` mirror of `Request`, and `ErrorCode`. This
+//! pass parses those from the token stream and checks that
 //!
-//! * every `Request` variant is constructed/matched in the client and
-//!   matched in the server dispatch (`server.rs` + `reactor/conn.rs`),
+//! * `RequestRef` has exactly `Request`'s variants (the server decodes
+//!   into it, so a variant it lacks could never be served),
+//! * every `Request` variant is constructed/matched in the client, as
+//!   `Request::V` or `RequestRef::V`,
+//! * every `RequestRef` variant is matched in the server dispatch
+//!   (`server.rs` + `reactor/conn.rs`),
 //! * every `Response` variant is matched in the client,
 //! * the recovery/replay path goes through `Request::decode` and the
 //!   `is_mutation` filter (so WAL record kinds can never drift from the
@@ -30,6 +34,10 @@ pub struct Protocol {
     pub opcodes: BTreeMap<String, u64>,
     /// `Request` variant names.
     pub requests: Vec<String>,
+    /// `RequestRef` variant names (the borrowed mirror of `Request`).
+    pub request_refs: Vec<String>,
+    /// 1-based line of the `RequestRef` declaration (0 when absent).
+    pub request_ref_line: u32,
     /// `Response` variant names.
     pub responses: Vec<String>,
     /// `ErrorCode` variant names.
@@ -66,6 +74,10 @@ pub fn parse_protocol(tokens: &[Token]) -> Protocol {
             let (variants, next) = parse_enum_variants(tokens, i + 2);
             match name.as_str() {
                 "Request" => proto.requests = variants,
+                "RequestRef" => {
+                    proto.request_refs = variants;
+                    proto.request_ref_line = tokens[i + 1].line;
+                }
                 "Response" => proto.responses = variants,
                 "ErrorCode" => proto.error_codes = variants,
                 _ => {}
@@ -185,6 +197,42 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
         return diags;
     }
 
+    // Mirror: the server parses and dispatches `RequestRef`, so it must
+    // carry exactly the variants of `Request`.
+    if proto.request_refs.is_empty() {
+        diags.push(Diagnostic::new(
+            PASS,
+            proto_rel,
+            1,
+            1,
+            "protocol file defines no `RequestRef` mirror of `Request`",
+        ));
+    } else {
+        let line = proto.request_ref_line;
+        for v in &proto.requests {
+            if !proto.request_refs.contains(v) {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    proto_rel,
+                    line,
+                    1,
+                    format!("`RequestRef` has no `{v}` variant to mirror `Request::{v}`"),
+                ));
+            }
+        }
+        for v in &proto.request_refs {
+            if !proto.requests.contains(v) {
+                diags.push(Diagnostic::new(
+                    PASS,
+                    proto_rel,
+                    line,
+                    1,
+                    format!("`RequestRef::{v}` mirrors no `Request` variant"),
+                ));
+            }
+        }
+    }
+
     // Client: must speak every request and handle every response.
     for client_rel in &cfg.client_rels {
         let Some(client) = ws.file(client_rel) else {
@@ -198,13 +246,17 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
             continue;
         };
         for v in &proto.requests {
-            if !mentions_variant(&client.tokens, "Request", v) {
+            if !mentions_variant(&client.tokens, "Request", v)
+                && !mentions_variant(&client.tokens, "RequestRef", v)
+            {
                 diags.push(Diagnostic::new(
                     PASS,
                     client_rel,
                     1,
                     1,
-                    format!("client never constructs or matches `Request::{v}`"),
+                    format!(
+                        "client never constructs or matches `Request::{v}` or `RequestRef::{v}`"
+                    ),
                 ));
             }
         }
@@ -221,7 +273,8 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
         }
     }
 
-    // Dispatch: the union of the dispatch files must match every request.
+    // Dispatch: the union of the dispatch files must match every
+    // `RequestRef` variant (the form the server decodes into).
     if !cfg.dispatch_rels.is_empty() {
         let mut dispatch_tokens: Vec<Token> = Vec::new();
         for rel in &cfg.dispatch_rels {
@@ -230,14 +283,14 @@ pub fn run(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
                 None => diags.push(Diagnostic::new(PASS, rel, 0, 0, "dispatch file not found")),
             }
         }
-        for v in &proto.requests {
-            if !mentions_variant(&dispatch_tokens, "Request", v) {
+        for v in &proto.request_refs {
+            if !mentions_variant(&dispatch_tokens, "RequestRef", v) {
                 diags.push(Diagnostic::new(
                     PASS,
                     &cfg.dispatch_rels[0],
                     1,
                     1,
-                    format!("server dispatch never matches `Request::{v}`"),
+                    format!("server dispatch never matches `RequestRef::{v}`"),
                 ));
             }
         }
@@ -455,11 +508,17 @@ mod tests {
                 Estimate(Vec<u8>),
             }
             pub enum ErrorCode { BadFrame = 1, Io = 7 }
+            pub enum RequestRef<'a> {
+                Ping,
+                Insert { count: u64, key: &'a [u8] },
+            }
         "#;
         let proto = parse_protocol(&lex(src));
         assert_eq!(proto.opcodes["OP_PING"], 1);
         assert_eq!(proto.opcodes["OP_OK"], 0x80);
         assert_eq!(proto.requests, vec!["Ping", "Insert", "Estimate"]);
+        assert_eq!(proto.request_refs, vec!["Ping", "Insert"]);
+        assert_eq!(proto.request_ref_line, 11);
         assert_eq!(proto.error_codes, vec!["BadFrame", "Io"]);
     }
 

@@ -277,6 +277,24 @@ fn wire_fixture_catches_client_dispatch_recovery_and_doc_drift() {
 }
 
 #[test]
+fn wire_mirror_fixture_catches_a_request_ref_that_drops_a_variant() {
+    let dir = fixture_dir("wire_mirror");
+    let ws = Workspace::load_dir(&dir).unwrap();
+    let mut cfg = base_config();
+    cfg.proto_rel = Some("proto.rs".into());
+    cfg.client_rels = vec!["client.rs".into()];
+    cfg.dispatch_rels = vec!["dispatch.rs".into()];
+    let diags = passes::wire_protocol::run(&ws, &cfg);
+    assert_expected(&ws, &diags);
+    assert_eq!(
+        diags.len(),
+        1,
+        "exactly the dropped mirror variant:\n{}",
+        render(&diags)
+    );
+}
+
+#[test]
 fn metrics_fixture_catches_grammar_kind_suffix_and_doc_violations() {
     let dir = fixture_dir("metrics");
     let ws = Workspace::load_dir(&dir).unwrap();

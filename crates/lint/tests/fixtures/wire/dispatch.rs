@@ -1,8 +1,8 @@
-//~ ERROR Request::Ping
+//~ ERROR RequestRef::Ping
 // Seeded drift: dispatch handles Flush but forgot Ping.
-pub fn apply(req: Request) {
+pub fn apply(req: RequestRef) {
     match req {
-        Request::Flush { hard } => flush(hard),
+        RequestRef::Flush { hard } => flush(hard),
         _ => {}
     }
 }

@@ -10,6 +10,12 @@ pub enum Request {
     Flush { hard: bool },
 }
 
+/// Borrowed requests: the exact mirror of `Request`.
+pub enum RequestRef<'a> {
+    Ping,
+    Flush { hard: &'a bool },
+}
+
 /// Responses.
 pub enum Response {
     Ok,

@@ -17,6 +17,18 @@
 //! can be fed to `sbf merge`, `sbf info`, or another server's MERGE
 //! unchanged.
 //!
+//! There is one request parser and one request encoder, both on the
+//! borrowed form [`RequestRef`]. [`RequestRef::decode`] hands back keys,
+//! envelopes and peer addresses as slices of the frame body, so the
+//! server hashes keys straight out of the bytes it read; a key batch
+//! costs one `Vec` of slices per frame, not one allocation per key.
+//! [`RequestRef::encode_into`] writes a whole frame into the caller's
+//! buffer in one pass and patches the length field afterwards, so a
+//! client encodes straight from its own keys and many frames (or, on the
+//! server, many responses) share one buffer. The owned [`Request`] is a
+//! convenience over the same code: `Request::decode` is `RequestRef::decode`
+//! plus a copy, and `Request::encode` encodes [`Request::as_ref`].
+//!
 //! Decoders here face attacker-controlled bytes. They validate every
 //! length field against the bytes actually present *before* allocating
 //! (the batch paths additionally bound element counts by the payload
@@ -108,6 +120,87 @@ pub enum Request {
     /// (`Incompatible`) unless `(m, k, seed)` match — multiplying filters
     /// with different hash functions would be meaningless (§5.3's
     /// "identical in their parameters" precondition).
+    JoinFilter {
+        /// Counters per filter the joining node expects.
+        m: u64,
+        /// Hash functions per filter the joining node expects.
+        k: u64,
+        /// Hash seed the joining node expects.
+        seed: u64,
+    },
+}
+
+/// A [`Request`] whose byte fields are borrowed: decoded in place from a
+/// frame body the transport holds, or built over a caller's keys to be
+/// encoded. Each key batch is one `Vec` of slices per frame — nothing is
+/// allocated or copied per key.
+///
+/// [`RequestRef::decode`] is the protocol's only request parser and
+/// [`RequestRef::encode_into`] its only request encoder; [`Request`]'s
+/// `decode` and `encode` go through them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// See [`Request::Ping`].
+    Ping,
+    /// See [`Request::Insert`].
+    Insert {
+        /// Multiplicity to add.
+        count: u64,
+        /// Opaque key bytes.
+        key: &'a [u8],
+    },
+    /// See [`Request::Remove`].
+    Remove {
+        /// Multiplicity to remove.
+        count: u64,
+        /// Opaque key bytes.
+        key: &'a [u8],
+    },
+    /// See [`Request::Estimate`].
+    Estimate {
+        /// Opaque key bytes.
+        key: &'a [u8],
+    },
+    /// See [`Request::InsertBatch`].
+    InsertBatch {
+        /// Opaque keys, applied in order.
+        keys: Vec<&'a [u8]>,
+    },
+    /// See [`Request::EstimateBatch`].
+    EstimateBatch {
+        /// Opaque keys.
+        keys: Vec<&'a [u8]>,
+    },
+    /// See [`Request::Merge`].
+    Merge {
+        /// Encoded [`FilterEnvelope`] bytes.
+        envelope: &'a [u8],
+    },
+    /// See [`Request::Snapshot`].
+    Snapshot,
+    /// See [`Request::Stats`].
+    Stats,
+    /// See [`Request::Shutdown`].
+    Shutdown,
+    /// See [`Request::Hello`].
+    Hello {
+        /// Counters per filter the client expects.
+        m: u64,
+        /// Hash functions per filter the client expects.
+        k: u64,
+        /// Hash seed the client expects.
+        seed: u64,
+    },
+    /// See [`Request::JoinPlan`].
+    JoinPlan {
+        /// The peer node's `host:port`, dialed by the serving node.
+        peer: &'a str,
+        /// `HAVING count(*) >= threshold` cut; `0`/`1` reports everything.
+        threshold: u64,
+        /// Candidate join keys, answered in order.
+        keys: Vec<&'a [u8]>,
+    },
+    /// See [`Request::JoinFilter`].
     JoinFilter {
         /// Counters per filter the joining node expects.
         m: u64,
@@ -305,24 +398,29 @@ impl<'a> Scan<'a> {
         Ok(head)
     }
 
+    /// Everything left in the payload.
+    fn tail(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
     /// A `u32`-length-prefixed byte string.
     fn lstring(&mut self) -> Result<&'a [u8], ProtoError> {
         let n = self.u32()? as usize;
         self.bytes(n)
     }
 
-    /// A batch of length-prefixed byte strings. The element count is
-    /// validated against the minimum bytes it implies (4 per element)
-    /// before the output vector is reserved, so a hostile count cannot
-    /// drive a huge allocation.
-    fn key_batch(&mut self) -> Result<Vec<Vec<u8>>, ProtoError> {
+    /// A batch of length-prefixed byte strings, borrowed from the payload.
+    /// The element count is validated against the minimum bytes it implies
+    /// (4 per element) before the output vector is reserved, so a hostile
+    /// count cannot drive a huge allocation.
+    fn key_batch(&mut self) -> Result<Vec<&'a [u8]>, ProtoError> {
         let n = self.u32()? as usize;
         if n > self.rest.len() / 4 {
             return Err(ProtoError::Truncated);
         }
         let mut keys = Vec::with_capacity(n);
         for _ in 0..n {
-            keys.push(self.lstring()?.to_vec());
+            keys.push(self.lstring()?);
         }
         Ok(keys)
     }
@@ -336,113 +434,111 @@ impl<'a> Scan<'a> {
     }
 }
 
-/// Appends one `u32`-length-prefixed byte string; the checked narrowing
-/// lives in [`sbf_db::framing`] (satellite 3's single chokepoint).
-fn put_lstring(buf: &mut Vec<u8>, bytes: &[u8]) -> Result<(), ProtoError> {
-    framing::put_lstring(buf, bytes)?;
+/// Appends one complete frame to `out`: a length placeholder, the opcode,
+/// then whatever `payload` writes (`payload_len` bytes, reserved up front
+/// so the frame costs at most one allocation). The length field is
+/// patched afterwards through the checked [`framing::u32_len`]: a payload
+/// past `u32::MAX − 1` bytes is [`ProtoError::Oversized`], not a frame
+/// that silently declares itself ~4 GiB shorter than it is. On error,
+/// `out` is truncated back to its original length, so a caller appending
+/// many frames to one buffer never ships a torn one.
+fn put_frame(
+    out: &mut Vec<u8>,
+    opcode: u8,
+    payload_len: usize,
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<(), EncodeError>,
+) -> Result<(), ProtoError> {
+    let start = out.len();
+    out.reserve(5 + payload_len);
+    out.extend_from_slice(&[0; 4]);
+    out.push(opcode);
+    match payload(out).and_then(|()| framing::u32_len(out.len() - start - 4)) {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e.into())
+        }
+    }
+}
+
+/// Appends raw bytes: the payload writer of fixed-layout fields.
+fn put(out: &mut Vec<u8>, bytes: &[u8]) -> Result<(), EncodeError> {
+    out.extend_from_slice(bytes);
     Ok(())
 }
 
-/// Wraps `opcode` + `payload` in a length-prefixed frame. The length field
-/// is a checked conversion via [`framing::u32_len`]: a payload past
-/// `u32::MAX − 1` bytes is [`ProtoError::Oversized`], not a frame that
-/// silently declares itself ~4 GiB shorter than it is.
-fn frame(opcode: u8, payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
-    let len = framing::u32_len(1 + payload.len())?;
-    let mut out = Vec::with_capacity(5 + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(opcode);
-    out.extend_from_slice(payload);
-    Ok(out)
+/// The 24-byte `(m, k, seed)` payload shared by HELLO and JOIN_FILTER.
+fn put_geometry(out: &mut Vec<u8>, m: u64, k: u64, seed: u64) -> Result<(), EncodeError> {
+    for v in [m, k, seed] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    Ok(())
 }
 
-impl Request {
-    /// Serializes into a complete frame (header included), ready for one
-    /// `write_all` — single-syscall sends keep loopback latency flat.
-    ///
-    /// Fails with [`ProtoError::Oversized`] when a key, batch, or payload
-    /// cannot be described by its `u32` length field.
-    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        match self {
-            Request::Ping => frame(OP_PING, &[]),
-            Request::Insert { count, key } => {
-                let mut p = Vec::with_capacity(8 + key.len());
-                p.extend_from_slice(&count.to_le_bytes());
-                p.extend_from_slice(key);
-                frame(OP_INSERT, &p)
-            }
-            Request::Remove { count, key } => {
-                let mut p = Vec::with_capacity(8 + key.len());
-                p.extend_from_slice(&count.to_le_bytes());
-                p.extend_from_slice(key);
-                frame(OP_REMOVE, &p)
-            }
-            Request::Estimate { key } => frame(OP_ESTIMATE, key),
-            Request::InsertBatch { keys } => frame(OP_INSERT_BATCH, &encode_key_batch(keys)?),
-            Request::EstimateBatch { keys } => frame(OP_ESTIMATE_BATCH, &encode_key_batch(keys)?),
-            Request::Merge { envelope } => frame(OP_MERGE, envelope),
-            Request::Snapshot => frame(OP_SNAPSHOT, &[]),
-            Request::Stats => frame(OP_STATS, &[]),
-            Request::Shutdown => frame(OP_SHUTDOWN, &[]),
-            Request::Hello { m, k, seed } => frame(OP_HELLO, &encode_geometry(*m, *k, *seed)),
-            Request::JoinPlan {
-                peer,
-                threshold,
-                keys,
-            } => {
-                let mut p = Vec::with_capacity(8 + 4 + peer.len());
-                p.extend_from_slice(&threshold.to_le_bytes());
-                put_lstring(&mut p, peer.as_bytes())?;
-                p.extend_from_slice(&encode_key_batch(keys)?);
-                frame(OP_JOIN_PLAN, &p)
-            }
-            Request::JoinFilter { m, k, seed } => {
-                frame(OP_JOIN_FILTER, &encode_geometry(*m, *k, *seed))
-            }
-        }
-    }
+/// Encoded size of a key batch: the `u32` count plus one `u32`-prefixed
+/// string per key.
+fn key_batch_len(keys: &[&[u8]]) -> usize {
+    4 + keys.iter().map(|k| 4 + k.len()).sum::<usize>()
+}
 
+/// Appends a key batch; the count and every key length go through the
+/// checked narrowing in [`sbf_db::framing`].
+fn put_key_batch(out: &mut Vec<u8>, keys: &[&[u8]]) -> Result<(), EncodeError> {
+    out.extend_from_slice(&framing::u32_len(keys.len())?.to_le_bytes());
+    for key in keys {
+        framing::put_lstring(out, key)?;
+    }
+    Ok(())
+}
+
+/// Borrows owned keys as the slice list a [`RequestRef`] batch holds: one
+/// allocation for the list, none per key.
+pub(crate) fn borrow_keys(keys: &[Vec<u8>]) -> Vec<&[u8]> {
+    keys.iter().map(Vec::as_slice).collect()
+}
+
+impl<'a> RequestRef<'a> {
     /// Parses the body of a frame whose header the transport has already
-    /// consumed and length-checked.
-    pub fn decode(opcode: u8, payload: &[u8]) -> Result<Self, ProtoError> {
+    /// consumed and length-checked, borrowing every key, envelope and peer
+    /// address from `payload`. The protocol's only request parser.
+    pub fn decode(opcode: u8, payload: &'a [u8]) -> Result<Self, ProtoError> {
         let mut s = Scan::new(payload);
         let req = match opcode {
-            OP_PING => Request::Ping,
-            OP_INSERT => Request::Insert {
+            OP_PING => RequestRef::Ping,
+            OP_INSERT => RequestRef::Insert {
                 count: s.u64()?,
-                key: s.bytes(s.rest.len())?.to_vec(),
+                key: s.tail(),
             },
-            OP_REMOVE => Request::Remove {
+            OP_REMOVE => RequestRef::Remove {
                 count: s.u64()?,
-                key: s.bytes(s.rest.len())?.to_vec(),
+                key: s.tail(),
             },
-            OP_ESTIMATE => Request::Estimate {
-                key: s.bytes(s.rest.len())?.to_vec(),
-            },
-            OP_INSERT_BATCH => Request::InsertBatch {
+            OP_ESTIMATE => RequestRef::Estimate { key: s.tail() },
+            OP_INSERT_BATCH => RequestRef::InsertBatch {
                 keys: s.key_batch()?,
             },
-            OP_ESTIMATE_BATCH => Request::EstimateBatch {
+            OP_ESTIMATE_BATCH => RequestRef::EstimateBatch {
                 keys: s.key_batch()?,
             },
-            OP_MERGE => Request::Merge {
-                envelope: s.bytes(s.rest.len())?.to_vec(),
-            },
-            OP_SNAPSHOT => Request::Snapshot,
-            OP_STATS => Request::Stats,
-            OP_SHUTDOWN => Request::Shutdown,
-            OP_HELLO => Request::Hello {
+            OP_MERGE => RequestRef::Merge { envelope: s.tail() },
+            OP_SNAPSHOT => RequestRef::Snapshot,
+            OP_STATS => RequestRef::Stats,
+            OP_SHUTDOWN => RequestRef::Shutdown,
+            OP_HELLO => RequestRef::Hello {
                 m: s.u64()?,
                 k: s.u64()?,
                 seed: s.u64()?,
             },
-            OP_JOIN_PLAN => Request::JoinPlan {
+            OP_JOIN_PLAN => RequestRef::JoinPlan {
                 threshold: s.u64()?,
-                peer: String::from_utf8(s.lstring()?.to_vec())
+                peer: std::str::from_utf8(s.lstring()?)
                     .map_err(|_| ProtoError::Malformed("join peer address is not UTF-8"))?,
                 keys: s.key_batch()?,
             },
-            OP_JOIN_FILTER => Request::JoinFilter {
+            OP_JOIN_FILTER => RequestRef::JoinFilter {
                 m: s.u64()?,
                 k: s.u64()?,
                 seed: s.u64()?,
@@ -453,22 +549,123 @@ impl Request {
         Ok(req)
     }
 
+    /// Appends the complete frame (header included) to `out`, ready for
+    /// one `write_all` — single-syscall sends keep loopback latency flat.
+    /// The protocol's only request encoder: one pass, one buffer, the
+    /// length patched in afterwards.
+    ///
+    /// Fails with [`ProtoError::Oversized`] when a key, batch, or payload
+    /// cannot be described by its `u32` length field; `out` is then left
+    /// as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        match self {
+            RequestRef::Ping => put_frame(out, OP_PING, 0, |_| Ok(())),
+            RequestRef::Insert { count, key } => put_frame(out, OP_INSERT, 8 + key.len(), |p| {
+                put(p, &count.to_le_bytes())?;
+                put(p, key)
+            }),
+            RequestRef::Remove { count, key } => put_frame(out, OP_REMOVE, 8 + key.len(), |p| {
+                put(p, &count.to_le_bytes())?;
+                put(p, key)
+            }),
+            RequestRef::Estimate { key } => put_frame(out, OP_ESTIMATE, key.len(), |p| put(p, key)),
+            RequestRef::InsertBatch { keys } => {
+                put_frame(out, OP_INSERT_BATCH, key_batch_len(keys), |p| {
+                    put_key_batch(p, keys)
+                })
+            }
+            RequestRef::EstimateBatch { keys } => {
+                put_frame(out, OP_ESTIMATE_BATCH, key_batch_len(keys), |p| {
+                    put_key_batch(p, keys)
+                })
+            }
+            RequestRef::Merge { envelope } => {
+                put_frame(out, OP_MERGE, envelope.len(), |p| put(p, envelope))
+            }
+            RequestRef::Snapshot => put_frame(out, OP_SNAPSHOT, 0, |_| Ok(())),
+            RequestRef::Stats => put_frame(out, OP_STATS, 0, |_| Ok(())),
+            RequestRef::Shutdown => put_frame(out, OP_SHUTDOWN, 0, |_| Ok(())),
+            RequestRef::Hello { m, k, seed } => {
+                put_frame(out, OP_HELLO, 24, |p| put_geometry(p, *m, *k, *seed))
+            }
+            RequestRef::JoinPlan {
+                peer,
+                threshold,
+                keys,
+            } => {
+                let len = 8 + 4 + peer.len() + key_batch_len(keys);
+                put_frame(out, OP_JOIN_PLAN, len, |p| {
+                    put(p, &threshold.to_le_bytes())?;
+                    framing::put_lstring(p, peer.as_bytes())?;
+                    put_key_batch(p, keys)
+                })
+            }
+            RequestRef::JoinFilter { m, k, seed } => {
+                put_frame(out, OP_JOIN_FILTER, 24, |p| put_geometry(p, *m, *k, *seed))
+            }
+        }
+    }
+
+    /// [`encode_into`](Self::encode_into) a fresh buffer: one allocation,
+    /// sized up front.
+    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Copies every borrowed field into an owned [`Request`].
+    pub fn into_owned(self) -> Request {
+        let owned = |keys: Vec<&[u8]>| keys.into_iter().map(<[u8]>::to_vec).collect();
+        match self {
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Insert { count, key } => Request::Insert {
+                count,
+                key: key.to_vec(),
+            },
+            RequestRef::Remove { count, key } => Request::Remove {
+                count,
+                key: key.to_vec(),
+            },
+            RequestRef::Estimate { key } => Request::Estimate { key: key.to_vec() },
+            RequestRef::InsertBatch { keys } => Request::InsertBatch { keys: owned(keys) },
+            RequestRef::EstimateBatch { keys } => Request::EstimateBatch { keys: owned(keys) },
+            RequestRef::Merge { envelope } => Request::Merge {
+                envelope: envelope.to_vec(),
+            },
+            RequestRef::Snapshot => Request::Snapshot,
+            RequestRef::Stats => Request::Stats,
+            RequestRef::Shutdown => Request::Shutdown,
+            RequestRef::Hello { m, k, seed } => Request::Hello { m, k, seed },
+            RequestRef::JoinPlan {
+                peer,
+                threshold,
+                keys,
+            } => Request::JoinPlan {
+                peer: peer.to_string(),
+                threshold,
+                keys: owned(keys),
+            },
+            RequestRef::JoinFilter { m, k, seed } => Request::JoinFilter { m, k, seed },
+        }
+    }
+
     /// The metric label for this command (see `metrics.rs`).
     pub fn op_name(&self) -> &'static str {
         match self {
-            Request::Ping => "ping",
-            Request::Insert { .. } => "insert",
-            Request::Remove { .. } => "remove",
-            Request::Estimate { .. } => "estimate",
-            Request::InsertBatch { .. } => "insert_batch",
-            Request::EstimateBatch { .. } => "estimate_batch",
-            Request::Merge { .. } => "merge",
-            Request::Snapshot => "snapshot",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-            Request::Hello { .. } => "hello",
-            Request::JoinPlan { .. } => "join_plan",
-            Request::JoinFilter { .. } => "join_filter",
+            RequestRef::Ping => "ping",
+            RequestRef::Insert { .. } => "insert",
+            RequestRef::Remove { .. } => "remove",
+            RequestRef::Estimate { .. } => "estimate",
+            RequestRef::InsertBatch { .. } => "insert_batch",
+            RequestRef::EstimateBatch { .. } => "estimate_batch",
+            RequestRef::Merge { .. } => "merge",
+            RequestRef::Snapshot => "snapshot",
+            RequestRef::Stats => "stats",
+            RequestRef::Shutdown => "shutdown",
+            RequestRef::Hello { .. } => "hello",
+            RequestRef::JoinPlan { .. } => "join_plan",
+            RequestRef::JoinFilter { .. } => "join_filter",
         }
     }
 
@@ -476,61 +673,118 @@ impl Request {
     pub fn is_mutation(&self) -> bool {
         matches!(
             self,
-            Request::Insert { .. }
-                | Request::Remove { .. }
-                | Request::InsertBatch { .. }
-                | Request::Merge { .. }
+            RequestRef::Insert { .. }
+                | RequestRef::Remove { .. }
+                | RequestRef::InsertBatch { .. }
+                | RequestRef::Merge { .. }
         )
     }
 }
 
-/// The 24-byte `(m, k, seed)` payload shared by HELLO and JOIN_FILTER.
-fn encode_geometry(m: u64, k: u64, seed: u64) -> [u8; 24] {
-    let mut p = [0u8; 24];
-    p[..8].copy_from_slice(&m.to_le_bytes());
-    p[8..16].copy_from_slice(&k.to_le_bytes());
-    p[16..].copy_from_slice(&seed.to_le_bytes());
-    p
-}
-
-fn encode_key_batch(keys: &[Vec<u8>]) -> Result<Vec<u8>, ProtoError> {
-    let total: usize = keys.iter().map(|k| 4 + k.len()).sum();
-    let mut p = Vec::with_capacity(4 + total);
-    let n = framing::u32_len(keys.len())?;
-    p.extend_from_slice(&n.to_le_bytes());
-    for key in keys {
-        put_lstring(&mut p, key)?;
+impl Request {
+    /// Borrows this request as a [`RequestRef`]. Free for every variant
+    /// but the key batches, which build one slice list each.
+    pub fn as_ref(&self) -> RequestRef<'_> {
+        match self {
+            Request::Ping => RequestRef::Ping,
+            Request::Insert { count, key } => RequestRef::Insert { count: *count, key },
+            Request::Remove { count, key } => RequestRef::Remove { count: *count, key },
+            Request::Estimate { key } => RequestRef::Estimate { key },
+            Request::InsertBatch { keys } => RequestRef::InsertBatch {
+                keys: borrow_keys(keys),
+            },
+            Request::EstimateBatch { keys } => RequestRef::EstimateBatch {
+                keys: borrow_keys(keys),
+            },
+            Request::Merge { envelope } => RequestRef::Merge { envelope },
+            Request::Snapshot => RequestRef::Snapshot,
+            Request::Stats => RequestRef::Stats,
+            Request::Shutdown => RequestRef::Shutdown,
+            Request::Hello { m, k, seed } => RequestRef::Hello {
+                m: *m,
+                k: *k,
+                seed: *seed,
+            },
+            Request::JoinPlan {
+                peer,
+                threshold,
+                keys,
+            } => RequestRef::JoinPlan {
+                peer,
+                threshold: *threshold,
+                keys: borrow_keys(keys),
+            },
+            Request::JoinFilter { m, k, seed } => RequestRef::JoinFilter {
+                m: *m,
+                k: *k,
+                seed: *seed,
+            },
+        }
     }
-    Ok(p)
+
+    /// Serializes into a complete frame (header included) through
+    /// [`RequestRef::encode_into`].
+    ///
+    /// Fails with [`ProtoError::Oversized`] when a key, batch, or payload
+    /// cannot be described by its `u32` length field.
+    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+        self.as_ref().encode()
+    }
+
+    /// Parses the body of a frame whose header the transport has already
+    /// consumed and length-checked: [`RequestRef::decode`], then a copy
+    /// into owned fields.
+    pub fn decode(opcode: u8, payload: &[u8]) -> Result<Self, ProtoError> {
+        RequestRef::decode(opcode, payload).map(RequestRef::into_owned)
+    }
+
+    /// The metric label for this command (see `metrics.rs`).
+    pub fn op_name(&self) -> &'static str {
+        self.as_ref().op_name()
+    }
+
+    /// Whether the command mutates the sketch (refused while draining).
+    pub fn is_mutation(&self) -> bool {
+        self.as_ref().is_mutation()
+    }
 }
 
 impl Response {
-    /// Serializes into a complete frame (header included).
+    /// Appends the complete frame (header included) to `out`, in one pass
+    /// with the length patched in afterwards.
+    ///
+    /// Fails with [`ProtoError::Oversized`] when the body cannot be
+    /// described by its `u32` length field; `out` is then left as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        match self {
+            Response::Ok => put_frame(out, OP_OK, 0, |_| Ok(())),
+            Response::Value(v) => put_frame(out, OP_VALUE, 8, |p| put(p, &v.to_le_bytes())),
+            Response::Values(vs) => put_frame(out, OP_VALUES, 4 + 8 * vs.len(), |p| {
+                put(p, &framing::u32_len(vs.len())?.to_le_bytes())?;
+                for v in vs {
+                    p.extend_from_slice(&v.to_le_bytes());
+                }
+                Ok(())
+            }),
+            Response::Frame(bytes) => put_frame(out, OP_FRAME, bytes.len(), |p| put(p, bytes)),
+            Response::Text(text) => {
+                put_frame(out, OP_TEXT, text.len(), |p| put(p, text.as_bytes()))
+            }
+            Response::Error { code, message } => put_frame(out, OP_ERROR, 1 + message.len(), |p| {
+                p.push(code.to_byte());
+                put(p, message.as_bytes())
+            }),
+        }
+    }
+
+    /// [`encode_into`](Self::encode_into) a fresh buffer.
     ///
     /// Fails with [`ProtoError::Oversized`] when the body cannot be
     /// described by its `u32` length field.
     pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        match self {
-            Response::Ok => frame(OP_OK, &[]),
-            Response::Value(v) => frame(OP_VALUE, &v.to_le_bytes()),
-            Response::Values(vs) => {
-                let mut p = Vec::with_capacity(4 + vs.len() * 8);
-                let n = framing::u32_len(vs.len())?;
-                p.extend_from_slice(&n.to_le_bytes());
-                for v in vs {
-                    p.extend_from_slice(&v.to_le_bytes());
-                }
-                frame(OP_VALUES, &p)
-            }
-            Response::Frame(bytes) => frame(OP_FRAME, bytes),
-            Response::Text(text) => frame(OP_TEXT, text.as_bytes()),
-            Response::Error { code, message } => {
-                let mut p = Vec::with_capacity(1 + message.len());
-                p.push(code.to_byte());
-                p.extend_from_slice(message.as_bytes());
-                frame(OP_ERROR, &p)
-            }
-        }
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
     }
 
     /// Parses the body of a response frame.
@@ -550,22 +804,18 @@ impl Response {
                 }
                 Response::Values(vs)
             }
-            OP_FRAME => Response::Frame(s.bytes(s.rest.len())?.to_vec()),
-            OP_TEXT => {
-                let bytes = s.bytes(s.rest.len())?;
-                Response::Text(
-                    String::from_utf8(bytes.to_vec())
-                        .map_err(|_| ProtoError::Malformed("text response is not UTF-8"))?,
-                )
-            }
+            OP_FRAME => Response::Frame(s.tail().to_vec()),
+            OP_TEXT => Response::Text(
+                String::from_utf8(s.tail().to_vec())
+                    .map_err(|_| ProtoError::Malformed("text response is not UTF-8"))?,
+            ),
             OP_ERROR => {
                 let code_byte = s.bytes(1)?.first().copied().ok_or(ProtoError::Truncated)?;
                 let code = ErrorCode::from_byte(code_byte)
                     .ok_or(ProtoError::Malformed("unknown error code"))?;
-                let bytes = s.bytes(s.rest.len())?;
                 Response::Error {
                     code,
-                    message: String::from_utf8_lossy(bytes).into_owned(),
+                    message: String::from_utf8_lossy(s.tail()).into_owned(),
                 }
             }
             other => return Err(ProtoError::UnknownOpcode(other)),
@@ -580,18 +830,14 @@ impl WireEncode for Request {
     /// type, so generic framing code can treat requests, WAL records and
     /// filter envelopes uniformly.
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        let bytes = self.encode().map_err(|_| EncodeError::Oversized)?;
-        out.extend_from_slice(&bytes);
-        Ok(())
+        RequestRef::encode_into(&self.as_ref(), out).map_err(|_| EncodeError::Oversized)
     }
 }
 
 impl WireEncode for Response {
-    /// [`WireEncode`] arm of [`Response::encode`].
+    /// [`WireEncode`] arm of [`Response::encode_into`].
     fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
-        let bytes = self.encode().map_err(|_| EncodeError::Oversized)?;
-        out.extend_from_slice(&bytes);
-        Ok(())
+        Response::encode_into(self, out).map_err(|_| EncodeError::Oversized)
     }
 }
 
@@ -620,6 +866,10 @@ mod tests {
         let bytes = req.encode().expect("encode");
         let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
         assert_eq!(len, bytes.len() - 4, "header length must match body");
+        let borrowed = RequestRef::decode(bytes[4], &bytes[5..]).expect("decode");
+        assert_eq!(borrowed, req.as_ref());
+        assert_eq!(borrowed.op_name(), req.op_name());
+        assert_eq!(borrowed.is_mutation(), req.is_mutation());
         let back = Request::decode(bytes[4], &bytes[5..]).expect("decode");
         assert_eq!(back, req);
     }
@@ -630,6 +880,147 @@ mod tests {
         assert_eq!(len, bytes.len() - 4);
         let back = Response::decode(bytes[4], &bytes[5..]).expect("decode");
         assert_eq!(back, resp);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every request opcode's frame, byte for byte as the previous
+    /// (owned, two-buffer) encoder wrote it. These bytes are what clients
+    /// send and what the WAL logs, so they must never drift.
+    #[test]
+    fn request_frames_match_golden_bytes() {
+        let golden = [
+            (Request::Ping, "0100000001"),
+            (
+                Request::Insert {
+                    count: 3,
+                    key: b"hello".to_vec(),
+                },
+                "0e00000002030000000000000068656c6c6f",
+            ),
+            (
+                Request::Remove {
+                    count: 0x0102_0304_0506_0708,
+                    key: b"k".to_vec(),
+                },
+                "0a0000000308070605040302016b",
+            ),
+            (
+                Request::Estimate {
+                    key: b"\x00\xff".to_vec(),
+                },
+                "030000000400ff",
+            ),
+            (
+                Request::InsertBatch {
+                    keys: vec![b"a".to_vec(), vec![], b"ccc".to_vec()],
+                },
+                "15000000050300000001000000610000000003000000636363",
+            ),
+            (
+                Request::EstimateBatch {
+                    keys: vec![b"xy".to_vec(), b"z".to_vec()],
+                },
+                "100000000602000000020000007879010000007a",
+            ),
+            (
+                Request::Merge {
+                    envelope: vec![1, 2, 3],
+                },
+                "0400000007010203",
+            ),
+            (Request::Snapshot, "0100000008"),
+            (Request::Stats, "0100000009"),
+            (Request::Shutdown, "010000000a"),
+            (
+                Request::Hello {
+                    m: 1 << 16,
+                    k: 5,
+                    seed: 42,
+                },
+                "190000000b000001000000000005000000000000002a00000000000000",
+            ),
+            (
+                Request::JoinPlan {
+                    peer: "127.0.0.1:7071".into(),
+                    threshold: 8,
+                    keys: vec![b"a".to_vec(), b"bb".to_vec()],
+                },
+                "2a0000000c08000000000000000e0000003132372e302e302e313a3730373102000000\
+                 0100000061020000006262",
+            ),
+            (
+                Request::JoinFilter {
+                    m: 64,
+                    k: 3,
+                    seed: u64::MAX,
+                },
+                "190000000d40000000000000000300000000000000ffffffffffffffff",
+            ),
+        ];
+        let mut opcodes: Vec<u8> = Vec::new();
+        for (req, want) in &golden {
+            let bytes = req.encode().expect("encode");
+            assert_eq!(hex(&bytes), *want, "{req:?}");
+            opcodes.push(bytes[4]);
+        }
+        opcodes.sort_unstable();
+        opcodes.dedup();
+        assert_eq!(opcodes, (OP_PING..=OP_JOIN_FILTER).collect::<Vec<u8>>());
+    }
+
+    /// Same guard for the response frames the server appends in place.
+    #[test]
+    fn response_frames_match_golden_bytes() {
+        let golden = [
+            (Response::Ok, "0100000080"),
+            (
+                Response::Value(0x0102_0304_0506_0708),
+                "09000000810807060504030201",
+            ),
+            (
+                Response::Values(vec![1, u64::MAX]),
+                "1500000082020000000100000000000000ffffffffffffffff",
+            ),
+            (Response::Frame(vec![9, 8, 7]), "0400000083090807"),
+            (Response::Text("sbf 1\n".into()), "070000008473626620310a"),
+            (
+                Response::Error {
+                    code: ErrorCode::Underflow,
+                    message: "counter 3".into(),
+                },
+                "0b000000ee04636f756e7465722033",
+            ),
+        ];
+        for (resp, want) in &golden {
+            assert_eq!(hex(&resp.encode().expect("encode")), *want, "{resp:?}");
+        }
+    }
+
+    #[test]
+    fn frames_appended_to_one_buffer_equal_their_concatenation() {
+        let reqs = [
+            Request::Estimate { key: b"a".to_vec() },
+            Request::InsertBatch {
+                keys: vec![b"bb".to_vec(), b"c".to_vec()],
+            },
+            Request::Ping,
+        ];
+        let mut wire = b"prefix".to_vec();
+        let mut want = wire.clone();
+        for req in &reqs {
+            req.as_ref().encode_into(&mut wire).expect("encode");
+            want.extend_from_slice(&req.encode().expect("encode"));
+        }
+        assert_eq!(wire, want);
+        let mut out = Vec::new();
+        Response::Values(vec![4, 5]).encode_into(&mut out).unwrap();
+        Response::Ok.encode_into(&mut out).unwrap();
+        let mut want = Response::Values(vec![4, 5]).encode().unwrap();
+        want.extend_from_slice(&Response::Ok.encode().unwrap());
+        assert_eq!(out, want);
     }
 
     #[test]

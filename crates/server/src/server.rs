@@ -32,6 +32,16 @@
 //! paper's §4 compression applies where the bytes are stored or sent:
 //! SNAPSHOT and MERGE bodies and the WAL's checkpoint snapshots are
 //! Elias-δ coded [`FilterEnvelope`]s.
+//!
+//! # Request path
+//!
+//! Dispatch works on the borrowed [`RequestRef`]. A worker decodes it
+//! straight from the frame body the reactor handed over, so the keys the
+//! sketch hashes are slices of that body — an INSERT_BATCH of 1024 keys
+//! costs one `Vec` of slices, not 1024 key copies — and the same body is
+//! what the WAL appends and the replicator ships. The public
+//! [`SharedState::handle`] takes an owned [`Request`] and borrows it
+//! ([`Request::as_ref`]) into the same path.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -45,7 +55,7 @@ use crate::client::{ClientError, SbfClient};
 use crate::cluster::repl::Replicator;
 use crate::metrics;
 use crate::pool::WorkerPool;
-use crate::proto::{self, ErrorCode, Request, Response, MAX_FRAME_DEFAULT};
+use crate::proto::{self, ErrorCode, Request, RequestRef, Response, MAX_FRAME_DEFAULT};
 use crate::reactor::{Reactor, ReactorConfig, Waker};
 use crate::recovery::{self, RecoveryError, RecoveryReport};
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -383,7 +393,7 @@ fn rehydrate(env: &FilterEnvelope) -> MsSbf {
 /// the wire body (`opcode + payload`, no length prefix) — taken verbatim
 /// from the transport when it still holds the frame, re-encoded otherwise
 /// (embedded callers going through [`SharedState::handle`]).
-fn log_mutation(wal: &Wal, req: &Request, raw_body: Option<&[u8]>) -> io::Result<()> {
+fn log_mutation(wal: &Wal, req: &RequestRef<'_>, raw_body: Option<&[u8]>) -> io::Result<()> {
     match raw_body {
         Some(body) => wal.append(body),
         None => {
@@ -527,7 +537,7 @@ impl SharedState {
     /// that would underflow is skipped (skipping only over-counts, which
     /// keeps estimates one-sided).
     pub(crate) fn apply_replay(&self, req: &Request) -> bool {
-        matches!(self.apply(req), Response::Ok)
+        matches!(self.apply(&req.as_ref()), Response::Ok)
     }
 
     pub(crate) fn connection_started(&self) {
@@ -599,13 +609,14 @@ impl SharedState {
     /// failed append is answered with [`ErrorCode::Io`] — the mutation is
     /// in memory but not durable, so it must not be acknowledged.
     pub fn handle(&self, req: &Request) -> Response {
-        self.handle_framed(req, None)
+        self.handle_framed(&req.as_ref(), None)
     }
 
-    /// [`SharedState::handle`] with the request's already-encoded frame
-    /// body (`opcode + payload`, no length prefix) when the transport has
-    /// it — the WAL logs those bytes verbatim instead of re-encoding.
-    pub(crate) fn handle_framed(&self, req: &Request, raw_body: Option<&[u8]>) -> Response {
+    /// [`SharedState::handle`] over a borrowed request, with its
+    /// already-encoded frame body (`opcode + payload`, no length prefix)
+    /// when the transport has it — the WAL logs those bytes verbatim
+    /// instead of re-encoding, and the replicator ships them.
+    pub(crate) fn handle_framed(&self, req: &RequestRef<'_>, raw_body: Option<&[u8]>) -> Response {
         if req.is_mutation() && self.draining() {
             return Response::Error {
                 code: ErrorCode::Draining,
@@ -644,27 +655,27 @@ impl SharedState {
     /// The pure dispatch: applies `req` to the in-memory state. Shared by
     /// the serving path (which adds drain gating + WAL logging around it)
     /// and WAL replay (which must skip both).
-    fn apply(&self, req: &Request) -> Response {
+    fn apply(&self, req: &RequestRef<'_>) -> Response {
         match req {
-            Request::Ping => Response::Ok,
-            Request::Insert { count, key } => {
-                self.sketch.insert_by(key.as_slice(), *count);
+            RequestRef::Ping => Response::Ok,
+            RequestRef::Insert { count, key } => {
+                self.sketch.insert_by(*key, *count);
                 Response::Ok
             }
-            Request::Remove { count, key } => match self.sketch.remove_by(key.as_slice(), *count) {
+            RequestRef::Remove { count, key } => match self.sketch.remove_by(*key, *count) {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Error {
                     code: ErrorCode::Underflow,
                     message: e.to_string(),
                 },
             },
-            Request::Estimate { key } => Response::Value(self.estimate_one(key)),
-            Request::InsertBatch { keys } => {
+            RequestRef::Estimate { key } => Response::Value(self.estimate_one(key)),
+            RequestRef::InsertBatch { keys } => {
                 metrics::on(|m| m.batch_keys.add(keys.len() as u64));
                 self.sketch.insert_batch(keys);
                 Response::Ok
             }
-            Request::EstimateBatch { keys } => {
+            RequestRef::EstimateBatch { keys } => {
                 metrics::on(|m| m.batch_keys.add(keys.len() as u64));
                 let mut out = Vec::new();
                 let remote = lock_unpoisoned(self.remote.read());
@@ -672,27 +683,27 @@ impl SharedState {
                     .estimate_batch_folded_into(keys, &remote, &mut out);
                 Response::Values(out)
             }
-            Request::Merge { envelope } => self.apply_merge(envelope),
-            Request::Hello { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
+            RequestRef::Merge { envelope } => self.apply_merge(envelope),
+            RequestRef::Hello { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
                 Ok(()) => Response::Ok,
                 Err(resp) => resp,
             },
-            Request::JoinFilter { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
+            RequestRef::JoinFilter { m, k, seed } => match self.check_geometry(*m, *k, *seed) {
                 Ok(()) => Response::Frame(self.snapshot_envelope()),
                 Err(resp) => resp,
             },
-            Request::JoinPlan {
+            RequestRef::JoinPlan {
                 peer,
                 threshold,
                 keys,
             } => self.apply_join_plan(peer, *threshold, keys),
-            Request::Snapshot => Response::Frame(self.snapshot_envelope()),
-            Request::Stats => {
+            RequestRef::Snapshot => Response::Frame(self.snapshot_envelope()),
+            RequestRef::Stats => {
                 self.sketch.publish_metrics();
                 metrics::publish_anon_hugepage_bytes();
                 Response::Text(sbf_telemetry::global().snapshot().to_prometheus())
             }
-            Request::Shutdown => {
+            RequestRef::Shutdown => {
                 self.begin_shutdown();
                 Response::Ok
             }
@@ -757,7 +768,7 @@ impl SharedState {
     /// on the true joined frequency (each factor is one-sided), but tight
     /// enough that with sane geometry the reported group set matches the
     /// exact join.
-    fn apply_join_plan(&self, peer: &str, threshold: u64, keys: &[Vec<u8>]) -> Response {
+    fn apply_join_plan(&self, peer: &str, threshold: u64, keys: &[&[u8]]) -> Response {
         let unavailable = |message: String| Response::Error {
             code: ErrorCode::Unavailable,
             message,
@@ -792,7 +803,7 @@ impl SharedState {
                 ),
             };
         }
-        let peer_ests = match conn.estimate_batch(keys) {
+        let peer_ests = match conn.estimate_keys(keys.to_vec()) {
             Ok(vs) => vs,
             Err(e) => return unavailable(format!("join peer {peer} failed verification: {e}")),
         };

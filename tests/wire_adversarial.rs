@@ -16,7 +16,7 @@ use sbf_db::logrec::{append_record, LogScanner, TailStatus};
 use sbf_db::wire::{
     decode_counters, decode_counters_capped, encode_counters, FilterEnvelope, FilterKind, WireError,
 };
-use sbf_server::{Request, Response};
+use sbf_server::{Request, RequestRef, Response};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -101,7 +101,10 @@ proptest! {
         let _ = decode_counters_capped(&bytes, 1 << 16);
         let _ = FilterEnvelope::decode_capped(&bytes, 1 << 16);
         if let Some((&opcode, payload)) = bytes.split_first() {
-            let _ = Request::decode(opcode, payload);
+            prop_assert_eq!(
+                RequestRef::decode(opcode, payload).map(RequestRef::into_owned),
+                Request::decode(opcode, payload)
+            );
             let _ = Response::decode(opcode, payload);
         }
     }
@@ -155,6 +158,62 @@ proptest! {
         }
     }
 
+    /// The borrowed parser and the owned one give the same answer — the
+    /// same request, or the same error — for every opcode's frame, intact,
+    /// truncated anywhere, with any one bit flipped, or with its leading
+    /// `u32` (a batch's element count) replaced by a hostile claim.
+    #[test]
+    fn borrowed_and_owned_decoders_agree(
+        key in prop::collection::vec(any::<u8>(), 0..32),
+        keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 0..8),
+        count in any::<u64>(),
+        cut in 0usize..1000,
+        flip in 0usize..100_000,
+        claim in any::<u32>(),
+    ) {
+        let requests = [
+            Request::Ping,
+            Request::Insert { count, key: key.clone() },
+            Request::Remove { count, key: key.clone() },
+            Request::Estimate { key: key.clone() },
+            Request::InsertBatch { keys: keys.clone() },
+            Request::EstimateBatch { keys: keys.clone() },
+            Request::Merge { envelope: key.clone() },
+            Request::Snapshot,
+            Request::Stats,
+            Request::Shutdown,
+            Request::Hello { m: count, k: 5, seed: count ^ 1 },
+            Request::JoinPlan { peer: "10.0.0.1:7070".into(), threshold: count, keys: keys.clone() },
+            Request::JoinFilter { m: count, k: 3, seed: 9 },
+        ];
+        for req in &requests {
+            let frame = req.encode().expect("well-formed requests encode");
+            let (opcode, body) = (frame[4], &frame[5..]);
+            let mut inputs = vec![body.to_vec(), body[..cut % (body.len() + 1)].to_vec()];
+            if !body.is_empty() {
+                let mut flipped = body.to_vec();
+                let bit = flip % (body.len() * 8);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                inputs.push(flipped);
+            }
+            if body.len() >= 4 {
+                let mut hostile = body.to_vec();
+                hostile[..4].copy_from_slice(&claim.to_le_bytes());
+                inputs.push(hostile);
+            }
+            for input in &inputs {
+                let borrowed = RequestRef::decode(opcode, input);
+                if input.as_slice() == body {
+                    prop_assert_eq!(borrowed.clone(), Ok(req.as_ref()));
+                }
+                prop_assert_eq!(
+                    borrowed.map(RequestRef::into_owned),
+                    Request::decode(opcode, input)
+                );
+            }
+        }
+    }
+
     /// A batch header claiming more elements than the payload could hold
     /// is refused before the output vector is reserved.
     #[test]
@@ -167,6 +226,7 @@ proptest! {
         // Opcode 0x05 = INSERT_BATCH, 0x06 = ESTIMATE_BATCH.
         for opcode in [0x05u8, 0x06] {
             prop_assert!(Request::decode(opcode, &payload).is_err());
+            prop_assert!(RequestRef::decode(opcode, &payload).is_err());
         }
     }
 }
