@@ -1,12 +1,10 @@
-//! Multi-producer ingest throughput: the single-lock baseline vs the two
-//! concurrency paths this crate actually recommends.
+//! Multi-producer ingest throughput: the single-lock baseline vs the
+//! hash-sharded [`ShardedSketch`] this crate serves from.
 //!
-//! * `rwlock_ms` — `SharedSketch::new` (one shard, one `RwLock`): every
-//!   insert serialises on the same lock, so adding producers adds only
-//!   contention.
-//! * `atomic_ms` — [`AtomicMsSbf`]: Minimum Selection increments commute,
-//!   so producers do lock-free relaxed `fetch_add`s and scale with cores.
-//! * `sharded_mi` / `sharded_rm` — [`SharedSketch::with_shards`]: MI/RM
+//! * `rwlock_ms` — [`ShardedSketch::from_shards`] over one shard (one
+//!   `RwLock`): every insert serialises on the same lock, so adding
+//!   producers adds only contention.
+//! * `sharded_mi` / `sharded_rm` — [`ShardedSketch::with_shards`]: MI/RM
 //!   inserts are read-modify-write and need a lock, but hash-partitioned
 //!   shards (2× the producer count) make collisions on any one lock rare,
 //!   and `insert_batch` takes each shard lock once per batch.
@@ -15,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sbf_workloads::ZipfWorkload;
-use spectral_bloom::{AtomicMsSbf, DefaultFamily, MiSbf, MsSbf, RmSbf, SharedSketch};
+use spectral_bloom::{MiSbf, MsSbf, RmSbf, ShardedSketch};
 
 const M: usize = 1 << 16;
 const K: usize = 5;
@@ -41,10 +39,10 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
             &producers,
             |b, &producers| {
                 b.iter(|| {
-                    let shared = SharedSketch::new(MsSbf::new(M, K, SEED));
+                    let shared = ShardedSketch::from_shards(vec![MsSbf::new(M, K, SEED)]);
                     std::thread::scope(|scope| {
                         for chunk in chunks(stream, producers) {
-                            let h = shared.clone();
+                            let h = &shared;
                             scope.spawn(move || {
                                 for key in chunk {
                                     h.insert(key);
@@ -58,36 +56,15 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
         );
 
         group.bench_with_input(
-            BenchmarkId::new("atomic_ms", producers),
-            &producers,
-            |b, &producers| {
-                b.iter(|| {
-                    let sbf: AtomicMsSbf = AtomicMsSbf::from_family(DefaultFamily::new(M, K, SEED));
-                    std::thread::scope(|scope| {
-                        for chunk in chunks(stream, producers) {
-                            let sbf = &sbf;
-                            scope.spawn(move || {
-                                for key in chunk {
-                                    sbf.insert(key);
-                                }
-                            });
-                        }
-                    });
-                    sbf.total_count()
-                })
-            },
-        );
-
-        group.bench_with_input(
             BenchmarkId::new("sharded_mi", producers),
             &producers,
             |b, &producers| {
                 b.iter(|| {
                     let shared =
-                        SharedSketch::with_shards(2 * producers, |_| MiSbf::new(M, K, SEED));
+                        ShardedSketch::with_shards(2 * producers, |_| MiSbf::new(M, K, SEED));
                     std::thread::scope(|scope| {
                         for chunk in chunks(stream, producers) {
-                            let h = shared.clone();
+                            let h = &shared;
                             scope.spawn(move || {
                                 for batch in chunk.chunks(BATCH) {
                                     h.insert_batch(batch);
@@ -106,10 +83,10 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
             |b, &producers| {
                 b.iter(|| {
                     let shared =
-                        SharedSketch::with_shards(2 * producers, |_| RmSbf::new(M, K, SEED));
+                        ShardedSketch::with_shards(2 * producers, |_| RmSbf::new(M, K, SEED));
                     std::thread::scope(|scope| {
                         for chunk in chunks(stream, producers) {
-                            let h = shared.clone();
+                            let h = &shared;
                             scope.spawn(move || {
                                 for batch in chunk.chunks(BATCH) {
                                     h.insert_batch(batch);
@@ -128,7 +105,7 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
     // artifact (shard gauges, op counters) next to the Criterion output.
     sbf_telemetry::set_enabled(true);
     let _ = spectral_bloom::core_metrics();
-    let shared = SharedSketch::with_shards(4, |_| RmSbf::new(M, K, SEED));
+    let shared = ShardedSketch::with_shards(4, |_| RmSbf::new(M, K, SEED));
     for batch in stream.chunks(BATCH) {
         shared.insert_batch(batch);
     }

@@ -52,9 +52,7 @@ use std::time::Instant;
 
 use sbf_hash::{set_simd_level, simd_level, SimdLevel, SplitMix64};
 use sbf_workloads::ZipfWorkload;
-use spectral_bloom::{
-    AtomicMsSbf, BlockedMsSbf, MiSbf, MsSbf, MultisetSketch, ShardedSketch, SketchReader,
-};
+use spectral_bloom::{BlockedMsSbf, MiSbf, MsSbf, MultisetSketch, ShardedSketch, SketchReader};
 
 const M: usize = 1 << 20;
 const K: usize = 5;
@@ -229,10 +227,8 @@ fn simd_combo(name: &'static str, keys: &[u64], mut run: impl FnMut(&[u64])) -> 
 
 /// The SIMD-vs-scalar batched races (skipped when the machine dispatches
 /// scalar anyway — there would be nothing to compare). Backends cover the
-/// plain, blocked and sharded layouts — the paths that reach the
-/// gathered-min kernel — plus the atomic layout, whose lane pass hashes
-/// vectorised and skips dedup but keeps per-element atomic loads. The
-/// write paths stay scalar by design: lane hashing without a gather
+/// plain, blocked and sharded layouts, the paths that reach the
+/// gathered-min kernel. The write paths stay scalar by design: lane hashing without a gather
 /// measured *slower* than the write-intent prefetch pipeline (the
 /// per-item transpose costs more than the vector hash saves), so there is
 /// nothing to race there — see DESIGN.md §4i.
@@ -278,17 +274,6 @@ fn measure_simd() -> Vec<Combo> {
     }));
     black_box(acc);
 
-    let atomic = AtomicMsSbf::new(M, K, SEED);
-    atomic.insert_batch(&zipf);
-    let mut acc = 0u64;
-    combos.push(simd_combo("atomic_estimate_simd", &uniform, |keys| {
-        for chunk in keys.chunks(CHUNK) {
-            atomic.estimate_batch_into(chunk, &mut out);
-            acc = acc.wrapping_add(out.iter().sum::<u64>());
-        }
-    }));
-    black_box(acc);
-
     combos
 }
 
@@ -314,22 +299,7 @@ fn measure() -> Vec<Combo> {
         ),
     ];
 
-    // Shared-reference backends insert through `&self`.
-    {
-        let s = AtomicMsSbf::new(M, K, SEED);
-        combos.push(combo("atomic_insert_zipf", &zipf, |keys, batched| {
-            if batched {
-                for chunk in keys.chunks(CHUNK) {
-                    s.insert_batch(chunk);
-                }
-            } else {
-                for key in keys {
-                    s.insert(key);
-                }
-            }
-        }));
-        black_box(s.total_count());
-    }
+    // The sharded backend inserts through `&self`.
     {
         let s = ShardedSketch::with_shards(SHARDS, |_| MsSbf::new(M / SHARDS, K, SEED));
         combos.push(combo("sharded_insert_zipf", &zipf, |keys, batched| {
@@ -360,10 +330,6 @@ fn measure() -> Vec<Combo> {
         &uniform,
         &blocked,
     ));
-
-    let atomic = AtomicMsSbf::new(M, K, SEED);
-    atomic.insert_batch(&zipf);
-    combos.push(estimate_combo("atomic_estimate_zipf", &zipf, &atomic));
 
     let sharded = ShardedSketch::with_shards(SHARDS, |_| MsSbf::new(M / SHARDS, K, SEED));
     sharded.insert_batch(&zipf);

@@ -36,8 +36,8 @@ use std::io::{BufRead, Write};
 
 use sbf_db::wire::{FilterEnvelope, FilterKind};
 use spectral_bloom::{
-    AtomicMsSbf, ConcurrentCounterStore, CounterStore, DefaultFamily, MiSbf, MsSbf, MultisetSketch,
-    ShardedSketch, SketchReader,
+    CounterStore, DefaultFamily, MiSbf, MsSbf, MultisetSketch, ShardMerge, ShardedSketch,
+    SketchReader,
 };
 
 /// Errors surfaced to the user with exit code 1.
@@ -98,8 +98,8 @@ pub struct BuildOpts {
     /// Algorithm: Minimum Selection or Minimal Increase.
     pub kind: FilterKind,
     /// Ingest parallelism: 1 = classic single-threaded build; `N > 1`
-    /// fans keys out over `N` threads (lock-free atomic counters for MS,
-    /// a hash-sharded filter for MI, unioned per §5 before writing).
+    /// fans keys out over `N` threads into a hash-sharded filter with one
+    /// shard per thread, unioned per §5 before writing.
     pub ingest_threads: usize,
 }
 
@@ -162,21 +162,44 @@ pub fn parse_build(mut args: Vec<String>) -> Result<BuildOpts, CliError> {
 
 /// Builds a filter from keys on `input`, returning the envelope.
 ///
-/// With `ingest_threads > 1` the keys are buffered and fanned out: the MS
-/// build uses [`AtomicMsSbf`] (lock-free increments), the MI build a
+/// With `ingest_threads > 1` the keys are buffered and fanned out over a
 /// [`ShardedSketch`] with one shard per thread, unioned by §5 counter
-/// addition before encoding. The envelope is wire-compatible either way.
+/// addition before encoding. An MS envelope is bit-identical to the
+/// serial build (its counters are pure sums); an MI one stays one-sided.
 pub fn build_filter(opts: &BuildOpts, input: impl BufRead) -> Result<FilterEnvelope, CliError> {
-    if opts.ingest_threads > 1 {
-        return build_filter_parallel(opts, input);
+    let filter = if opts.ingest_threads > 1 {
+        build_parallel(opts, input)?
+    } else {
+        build_serial(opts, input)?
+    };
+    Ok(FilterEnvelope {
+        kind: opts.kind,
+        k: opts.k as u32,
+        seed: opts.seed,
+        counters: filter.counters(),
+    })
+}
+
+/// A filter of either kind `sbf build` writes.
+enum Built {
+    Ms(MsSbf),
+    Mi(MiSbf),
+}
+
+impl Built {
+    fn counters(&self) -> Vec<u64> {
+        match self {
+            Built::Ms(f) => f.core().store().as_slice().to_vec(),
+            Built::Mi(f) => f.core().store().as_slice().to_vec(),
+        }
     }
-    enum Either {
-        Ms(MsSbf),
-        Mi(MiSbf),
-    }
+}
+
+/// The default build path: one sketch, fed a line at a time.
+fn build_serial(opts: &BuildOpts, input: impl BufRead) -> Result<Built, CliError> {
     let mut filter = match opts.kind {
-        FilterKind::MinimalIncrease => Either::Mi(MiSbf::new(opts.m, opts.k, opts.seed)),
-        _ => Either::Ms(MsSbf::new(opts.m, opts.k, opts.seed)),
+        FilterKind::MinimalIncrease => Built::Mi(MiSbf::new(opts.m, opts.k, opts.seed)),
+        _ => Built::Ms(MsSbf::new(opts.m, opts.k, opts.seed)),
     };
     for line in input.lines() {
         let line = line?;
@@ -185,27 +208,15 @@ pub fn build_filter(opts: &BuildOpts, input: impl BufRead) -> Result<FilterEnvel
             continue;
         }
         match &mut filter {
-            Either::Ms(f) => f.insert(&key),
-            Either::Mi(f) => f.insert(&key),
+            Built::Ms(f) => f.insert(&key),
+            Built::Mi(f) => f.insert(&key),
         }
     }
-    let counters = match &filter {
-        Either::Ms(f) => (0..opts.m).map(|i| f.core().store().get(i)).collect(),
-        Either::Mi(f) => (0..opts.m).map(|i| f.core().store().get(i)).collect(),
-    };
-    Ok(FilterEnvelope {
-        kind: opts.kind,
-        k: opts.k as u32,
-        seed: opts.seed,
-        counters,
-    })
+    Ok(filter)
 }
 
 /// The `--ingest-threads N` build path: buffer keys, split across threads.
-fn build_filter_parallel(
-    opts: &BuildOpts,
-    input: impl BufRead,
-) -> Result<FilterEnvelope, CliError> {
+fn build_parallel(opts: &BuildOpts, input: impl BufRead) -> Result<Built, CliError> {
     let mut keys: Vec<String> = Vec::new();
     for line in input.lines() {
         let line = line?;
@@ -215,42 +226,35 @@ fn build_filter_parallel(
         }
     }
     let threads = opts.ingest_threads.min(keys.len().max(1));
-    let chunk = keys.len().div_ceil(threads);
-    let counters = match opts.kind {
+    let (m, k, seed) = (opts.m, opts.k, opts.seed);
+    Ok(match opts.kind {
         FilterKind::MinimalIncrease => {
-            // MI inserts are read-modify-write, so each thread owns a shard
-            // (per-shard locks are uncontended with one batch per thread).
-            let sketch =
-                ShardedSketch::with_shards(threads, |_| MiSbf::new(opts.m, opts.k, opts.seed));
-            std::thread::scope(|scope| {
-                for batch in keys.chunks(chunk.max(1)) {
-                    let sketch = &sketch;
-                    scope.spawn(move || sketch.insert_batch(batch));
-                }
-            });
-            let merged = sketch.snapshot();
-            (0..opts.m).map(|i| merged.core().store().get(i)).collect()
+            Built::Mi(ingest_sharded(&keys, threads, || MiSbf::new(m, k, seed)))
         }
-        _ => {
-            // MS increments commute, so all threads share one lock-free
-            // atomic filter.
-            let sbf: AtomicMsSbf =
-                AtomicMsSbf::from_family(DefaultFamily::new(opts.m, opts.k, opts.seed));
-            std::thread::scope(|scope| {
-                for batch in keys.chunks(chunk.max(1)) {
-                    let sbf = &sbf;
-                    scope.spawn(move || sbf.insert_batch(batch));
-                }
-            });
-            (0..opts.m).map(|i| sbf.store().load(i)).collect()
-        }
-    };
-    Ok(FilterEnvelope {
-        kind: opts.kind,
-        k: opts.k as u32,
-        seed: opts.seed,
-        counters,
+        _ => Built::Ms(ingest_sharded(&keys, threads, || MsSbf::new(m, k, seed))),
     })
+}
+
+/// Feeds `keys` into a [`ShardedSketch`] of `threads` shards from
+/// `threads` scoped threads, one contiguous chunk each, and returns the §5
+/// union of the shards.
+///
+/// Every thread's `insert_batch` partitions its chunk over all shards and
+/// then takes the shard write locks in order `0..threads`, so concurrent
+/// batches queue on the same lock rather than each owning a shard; the
+/// thread that gets there second follows the first one shard behind.
+fn ingest_sharded<SK>(keys: &[String], threads: usize, make: impl Fn() -> SK) -> SK
+where
+    SK: MultisetSketch + ShardMerge + Clone + Send + Sync,
+{
+    let sketch = ShardedSketch::with_shards(threads, |_| make());
+    std::thread::scope(|scope| {
+        for batch in keys.chunks(keys.len().div_ceil(threads).max(1)) {
+            let sketch = &sketch;
+            scope.spawn(move || sketch.insert_batch(batch));
+        }
+    });
+    sketch.snapshot()
 }
 
 /// Rehydrates a queryable MS filter from an envelope (all kinds query the

@@ -86,130 +86,20 @@ macro_rules! pipelined_batch {
 }
 pub(crate) use pipelined_batch;
 
-/// One step of the lane-pass pipeline ([`lane_pipeline`]): either a freshly
-/// hashed item whose counter lines should be requested now (a chunk ahead
-/// of use), or the current item to consume, in order.
-pub(crate) enum LaneOp<'a> {
-    /// Hashed a chunk ahead — issue the prefetch hints for this item.
-    Prefetch(&'a IndexBuf),
-    /// The current item's (optionally deduplicated) indices.
-    Apply(&'a IndexBuf),
-}
-
-/// Hashes one full lane group of [`LANES`] canonical key values through the
-/// family's SIMD kernel and transposes the seed-major output into per-item
-/// [`IndexBuf`]s (`bufs[lane]`), optionally canonicalising each through
-/// [`IndexBuf::sort_dedup`].
-#[inline]
-fn fill_lane_group<F: HashFamily>(
-    family: &F,
-    vs: [u64; LANES],
-    bufs: &mut [IndexBuf],
-    dedup: bool,
-) {
-    let k = family.k();
-    let mut stage = [0usize; LANES * MAX_K];
-    family.indexes_lanes(vs, &mut stage[..k * LANES]);
-    for (lane, buf) in bufs.iter_mut().enumerate().take(LANES) {
-        buf.fill(k, |slots| {
-            for (f, slot) in slots.iter_mut().enumerate() {
-                *slot = stage[f * LANES + lane];
-            }
-        });
-        if dedup {
-            buf.sort_dedup();
-        }
-    }
-}
-
-/// The lane-pass analogue of [`pipelined_batch!`]: items are hashed in
-/// groups of [`LANES`] through the family's SIMD kernel (scalar remainder
-/// per chunk), one chunk of [`PIPELINE_DEPTH`] items ahead of consumption,
-/// and applied strictly in order — so results stay bit-identical to the
-/// item-at-a-time path.
-///
-/// `canon` maps an item position to its canonical key value (the
-/// [`Key::canonical`] contract every family hashes from); `op` receives
-/// [`LaneOp::Prefetch`] once per item as its chunk is hashed — a chunk
-/// before the matching [`LaneOp::Apply`] — and may capture mutable state
-/// (a `&mut` store, an output vector): hashing needs only `family` and
-/// `canon`, so the borrows never overlap.
-///
-/// Worth it only for read paths that can also skip [`IndexBuf::sort_dedup`]
-/// (`dedup = false`): with dedup on, the transpose + canonicalisation per
-/// item costs more than the vector hash saves, which is why the write
-/// paths stay on the scalar [`pipelined_batch!`] pipeline (measured
-/// 10–25 % slower with lanes on every backend — see the `hotpath` bench
-/// and DESIGN.md §4i).
-pub(crate) fn lane_pipeline<F: HashFamily>(
-    family: &F,
-    n: usize,
-    canon: impl Fn(usize) -> u64,
-    dedup: bool,
-    mut op: impl FnMut(LaneOp<'_>),
-) {
-    if n == 0 {
-        return;
-    }
-    let fill = |bufs: &mut [IndexBuf; PIPELINE_DEPTH], base: usize, len: usize| {
-        let mut i = 0;
-        while i + LANES <= len {
-            let b = base + i;
-            let vs = [canon(b), canon(b + 1), canon(b + 2), canon(b + 3)];
-            fill_lane_group(family, vs, &mut bufs[i..], dedup);
-            i += LANES;
-        }
-        for (j, buf) in bufs.iter_mut().enumerate().take(len).skip(i) {
-            let v = canon(base + j);
-            buf.fill(family.k(), |slots| family.indexes_into(&v, slots));
-            if dedup {
-                buf.sort_dedup();
-            }
-        }
-    };
-    let mut cur = [IndexBuf::new(); PIPELINE_DEPTH];
-    let mut nxt = [IndexBuf::new(); PIPELINE_DEPTH];
-    let mut base = 0usize;
-    let mut cur_len = PIPELINE_DEPTH.min(n);
-    fill(&mut cur, 0, cur_len);
-    for buf in cur.iter().take(cur_len) {
-        op(LaneOp::Prefetch(buf));
-    }
-    loop {
-        let next_base = base + cur_len;
-        let next_len = PIPELINE_DEPTH.min(n - next_base);
-        if next_len > 0 {
-            fill(&mut nxt, next_base, next_len);
-            for buf in nxt.iter().take(next_len) {
-                op(LaneOp::Prefetch(buf));
-            }
-        }
-        for buf in cur.iter().take(cur_len) {
-            op(LaneOp::Apply(buf));
-        }
-        if next_len == 0 {
-            return;
-        }
-        std::mem::swap(&mut cur, &mut nxt);
-        base = next_base;
-        cur_len = next_len;
-    }
-}
-
-/// Whether the lane-pass estimate engines are worth dispatching for a
-/// batch of `n` items: a SIMD level is active and the batch covers at
-/// least one lane group.
+/// Whether the lane-pass estimate engine ([`SbfCore::lanes_run`]) is
+/// worth dispatching for a batch of `n` items: a SIMD level is active and
+/// the batch covers at least one lane group.
 ///
 /// Only the *read* paths consult this. The write paths (insert/remove)
 /// deliberately stay on the scalar [`pipelined_batch!`] pipeline: they are
 /// bound by the `k` read-modify-writes per item, which no gather kernel
 /// can vectorise, and they must deduplicate indices — so lane hashing
-/// would only add a seed-major→per-item transpose per key, measured
-/// 10–25 % *slower* than the scalar write-intent pipeline on every
-/// backend (see the `hotpath` bench and DESIGN.md §4i). The estimate
-/// paths win because the minimum over a multiset equals the minimum over
-/// its distinct values: dedup is skipped, and (where the store exposes a
-/// plain `u64` slice) the hashes feed the gathered-min kernel directly.
+/// would only add a seed-major→per-item transpose plus a `sort_dedup` per
+/// key, measured 10–25 % *slower* than the scalar write-intent pipeline
+/// on every backend (see the `hotpath` bench and DESIGN.md §4i). The
+/// estimate paths win because the minimum over a multiset equals the
+/// minimum over its distinct values: dedup is skipped, and the hashes
+/// feed the gathered-min kernel directly.
 #[inline]
 pub(crate) fn lanes_worthwhile(n: usize) -> bool {
     n >= LANES && sbf_hash::simd_level() != SimdLevel::Scalar

@@ -31,9 +31,8 @@ use crate::sketch::{MultisetSketch, SketchReader};
 /// enough to cross the threshold.
 ///
 /// Bounded on [`SketchReader`], so the scan runs equally over the
-/// single-threaded sketches and the concurrent backends
-/// ([`crate::AtomicMsSbf`], [`crate::ShardedSketch`],
-/// [`crate::SharedSketch`]) without snapshotting first.
+/// single-threaded sketches and the concurrent [`crate::ShardedSketch`]
+/// without snapshotting first.
 pub fn ad_hoc_iceberg<SK, K, I>(sketch: &SK, candidates: I, threshold: u64) -> Vec<u64>
 where
     SK: SketchReader,

@@ -20,12 +20,11 @@
 //! | [`TrappingRmSbf`] | 3.3.1 | ✔ | ✔ | RM + late-detection compensation |
 //!
 //! All algorithms implement [`MultisetSketch`] (updates) over the
-//! [`SketchReader`] query supertrait — which the concurrent backends
-//! [`AtomicMsSbf`], [`ShardedSketch`] and [`SharedSketch`] also implement —
-//! and are generic over the hash family (`sbf-hash`) and over the counter
-//! storage: [`PlainCounters`] (one word per counter, fastest) or
-//! [`CompressedCounters`] (the §4 String-Array-Index representation at
-//! `N + o(N) + O(m)` bits).
+//! [`SketchReader`] query supertrait — which the concurrent backend
+//! [`ShardedSketch`] also implements — and are generic over the hash
+//! family (`sbf-hash`) and over the counter storage: [`PlainCounters`]
+//! (one word per counter, fastest) or [`CompressedCounters`] (the §4
+//! String-Array-Index representation at `N + o(N) + O(m)` bits).
 //!
 //! # Quick start
 //!
@@ -60,9 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod atomic_store;
 pub mod bloom;
-pub mod concurrent;
 pub mod core_ops;
 pub mod estimator;
 pub mod iceberg;
@@ -82,9 +79,7 @@ pub mod sync;
 pub mod trap;
 pub mod window;
 
-pub use atomic_store::{AtomicCounters, AtomicMsSbf, BlockedAtomicMsSbf, ConcurrentCounterStore};
 pub use bloom::BloomFilter;
-pub use concurrent::SharedSketch;
 pub use core_ops::{SbfCore, PIPELINE_DEPTH};
 pub use estimator::{median_of_means_estimate, rm_combined_estimate, unbiased_estimate};
 pub use iceberg::{

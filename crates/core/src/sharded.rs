@@ -3,11 +3,12 @@
 //!
 //! Minimal Increase and Recurring Minimum inserts are read-modify-write
 //! over several counters (MI reads the minimum before raising, RM decides
-//! between primary and secondary), so unlike Minimum Selection they cannot
-//! run lock-free — see [`crate::AtomicMsSbf`] for that path. What *can* be
-//! removed is the global lock: [`ShardedSketch`] hash-partitions keys
-//! across `S` independent sub-filters, each behind its own `RwLock`, so
-//! producers working on different shards never contend.
+//! between primary and secondary), so they need mutual exclusion. What
+//! *can* be removed is the global lock: [`ShardedSketch`] hash-partitions
+//! keys across `S` independent sub-filters, each behind its own `RwLock`,
+//! so producers working on different shards never contend. It is the
+//! crate's only concurrent sketch and serves every algorithm, Minimum
+//! Selection included.
 //!
 //! Because every occurrence of a key routes to the same shard, each shard
 //! is an exact sketch of its own sub-multiset, and §5's distributed union

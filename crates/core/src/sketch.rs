@@ -40,8 +40,7 @@ impl std::error::Error for BatchRemoveError {
 /// Read-only multiplicity queries by `&self`.
 ///
 /// This is the half of the sketch contract that concurrent backends can
-/// honour without exclusive access: [`crate::AtomicMsSbf`],
-/// [`crate::SharedSketch`] and [`crate::ShardedSketch`] implement it
+/// honour without exclusive access: [`crate::ShardedSketch`] implements it
 /// alongside the four single-threaded algorithms, so query-side code —
 /// iceberg scans, join candidate filtering — is written once over any
 /// backend.

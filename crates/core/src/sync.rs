@@ -1,8 +1,7 @@
 //! Synchronization facade: the single point where this crate's concurrent
 //! code binds to either `std::sync` or the in-workspace model checker.
 //!
-//! Every atomic, mutex and rwlock used by the lock-free layer
-//! ([`crate::atomic_store`], [`crate::sharded`], [`crate::concurrent`],
+//! Every atomic, mutex and rwlock the crate uses ([`crate::sharded`],
 //! [`crate::metrics`]) is imported from here, never from `std::sync`
 //! directly (enforced by the repo's `static_guards` test). Normal builds
 //! re-export `std` types with zero overhead; under

@@ -5,15 +5,14 @@
 //! once an insert has returned, every later estimate of that key must be at
 //! least as large as the key's completed-insert count.
 
-use spectral_bloom::{
-    AtomicMsSbf, MiSbf, MsSbf, RemoveError, RmSbf, ShardedSketch, SharedSketch, SketchReader,
-};
+use spectral_bloom::{MiSbf, MsSbf, RemoveError, RmSbf, ShardedSketch, SketchReader};
 
-/// Lock-free MS never undercounts: with 8 producers hammering overlapping
-/// keys, every completed insert is visible in the final estimate.
+/// Sharded MS never undercounts: with 8 producers hammering overlapping
+/// keys, every completed insert is visible in the final estimate, both
+/// routed to the owning shard and in the §5 union.
 #[test]
-fn atomic_ms_never_undercounts() {
-    let sbf = AtomicMsSbf::new(1 << 15, 5, 21);
+fn sharded_ms_never_undercounts() {
+    let sbf = ShardedSketch::with_shards(4, |_| MsSbf::new(1 << 15, 5, 21));
     const THREADS: u64 = 8;
     const KEYS: u64 = 500;
     const REPS: u64 = 4;
@@ -32,6 +31,7 @@ fn atomic_ms_never_undercounts() {
         }
     });
     assert_eq!(sbf.total_count(), THREADS * KEYS * REPS);
+    let merged = sbf.snapshot();
     for key in 0..(THREADS / 2) * KEYS {
         assert!(
             sbf.estimate(&key) >= 2 * REPS,
@@ -39,6 +39,7 @@ fn atomic_ms_never_undercounts() {
             sbf.estimate(&key),
             2 * REPS
         );
+        assert!(merged.estimate(&key) >= sbf.estimate(&key));
     }
 }
 
@@ -122,40 +123,18 @@ fn failed_removes_under_contention_leave_counters_unchanged() {
     }
 }
 
-/// Saturating decrement on the atomic store: concurrent over-removals clamp
-/// at zero instead of wrapping into a huge bogus count.
-#[test]
-fn atomic_remove_saturating_clamps_at_zero() {
-    let sbf = AtomicMsSbf::new(4096, 4, 77);
-    sbf.insert_by(&42u64, 10);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let sbf = &sbf;
-            scope.spawn(move || {
-                for _ in 0..20 {
-                    sbf.remove_saturating(&42u64, 1);
-                }
-            });
-        }
-    });
-    // 80 decrements against 10 insertions: counters floor at 0, never wrap.
-    assert_eq!(sbf.estimate(&42u64), 0);
-    assert_eq!(sbf.total_count(), 0);
-}
-
-/// `SharedSketch` over MI shards: batch ingest from several threads keeps
+/// `ShardedSketch` over MI shards: batch ingest from several threads keeps
 /// the one-sided bound and the exact global total.
 #[test]
-fn shared_mi_batches_stay_one_sided() {
-    let shared = SharedSketch::with_shards(4, |_| MiSbf::new(1 << 14, 5, 9));
+fn sharded_mi_batches_stay_one_sided() {
+    let shared = ShardedSketch::with_shards(4, |_| MiSbf::new(1 << 14, 5, 9));
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 2000;
     std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let h = shared.clone();
+        for _ in 0..THREADS {
+            let h = &shared;
             scope.spawn(move || {
                 let keys: Vec<u64> = (0..PER_THREAD).map(|i| i % 100).collect();
-                let _ = t;
                 h.insert_batch(&keys);
             });
         }
@@ -174,7 +153,7 @@ fn shared_mi_batches_stay_one_sided() {
 /// never larger than the final filter.
 #[test]
 fn snapshot_during_ingest_is_a_consistent_prefix() {
-    let sbf = AtomicMsSbf::new(1 << 14, 5, 13);
+    let sbf = ShardedSketch::with_shards(4, |_| MsSbf::new(1 << 14, 5, 13));
     let done = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         let sbf_ref = &sbf;
@@ -196,4 +175,52 @@ fn snapshot_during_ingest_is_a_consistent_prefix() {
         });
     });
     assert_eq!(sbf.total_count(), 50_000);
+}
+
+/// Readers run beside a writer on one shard lock: every read sees at least
+/// the count inserted before the threads started, and the final estimate
+/// sees every completed insert.
+#[test]
+fn readers_run_alongside_writers() {
+    let sketch = ShardedSketch::from_shards(vec![MsSbf::new(4096, 5, 2)]);
+    sketch.insert_by(&7u64, 3);
+    std::thread::scope(|scope| {
+        let w = &sketch;
+        scope.spawn(move || {
+            for _ in 0..500 {
+                w.insert(&7u64);
+            }
+        });
+        let r = &sketch;
+        scope.spawn(move || {
+            for _ in 0..500 {
+                assert!(r.estimate(&7u64) >= 3);
+            }
+        });
+    });
+    assert!(sketch.estimate(&7u64) >= 503);
+}
+
+/// Threaded batches through an `Arc`-shared handle, then a §5 snapshot:
+/// the union keeps every key's full count.
+#[test]
+fn threaded_batches_then_snapshot() {
+    let shared = std::sync::Arc::new(ShardedSketch::with_shards(4, |_| MiSbf::new(8192, 5, 6)));
+    let keys: Vec<u64> = (0..2000).map(|i| i % 250).collect();
+    let handles: Vec<_> = keys
+        .chunks(500)
+        .map(|chunk| {
+            let h = std::sync::Arc::clone(&shared);
+            let chunk = chunk.to_vec();
+            std::thread::spawn(move || h.insert_batch(&chunk))
+        })
+        .collect();
+    for handle in handles {
+        handle.join().expect("ingest thread");
+    }
+    assert_eq!(shared.total_count(), 2000);
+    let merged = shared.snapshot();
+    for key in 0u64..250 {
+        assert!(merged.estimate(&key) >= 8, "undercount for {key}");
+    }
 }

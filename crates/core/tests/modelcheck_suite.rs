@@ -1,5 +1,5 @@
-//! Exhaustive interleaving tests for the lock-free layer, run under the
-//! in-workspace model checker.
+//! Exhaustive interleaving tests for the crate's concurrency protocols,
+//! run under the in-workspace model checker.
 //!
 //! This suite only compiles with `RUSTFLAGS='--cfg sbf_modelcheck'` (the
 //! CI `modelcheck` job): the crate's `sync` facade then binds every
@@ -9,13 +9,12 @@
 //!
 //! Each test pins one protocol from DESIGN.md's memory-ordering audit:
 //!
-//! 1. the CAS-saturating counter loops in `AtomicCounters` lose no
-//!    increments, never underflow, and saturate instead of wrapping;
-//! 2. the `ShardedSketch` snapshot version-stamp hand-off never serves a
-//!    stale cached snapshot as fresh (including save-during-ingest);
-//! 3. shard union under concurrent insert keeps the one-sided bound
+//! 1. the `ShardedSketch` snapshot version-stamp hand-off never serves a
+//!    stale cached snapshot as fresh, and `publish_metrics` never pairs a
+//!    stamp with older data (save-during-ingest);
+//! 2. shard union under concurrent insert keeps the one-sided bound
 //!    f̂ ≥ f for keys fully inserted beforehand;
-//! 4. the telemetry enable gate is coherent and counter increments are
+//! 3. the telemetry enable gate is coherent and counter increments are
 //!    never lost.
 //!
 //! Closures must be deterministic (the replay trail is positional), so
@@ -28,63 +27,7 @@
 use std::sync::Arc;
 
 use sbf_modelcheck::{thread, Checker};
-use spectral_bloom::{
-    AtomicCounters, AtomicMsSbf, ConcurrentCounterStore, MsSbf, ShardedSketch, SketchReader,
-};
-
-/// Three concurrent saturating CAS increments: every increment lands.
-#[test]
-fn cas_add_loses_no_increments() {
-    let report = Checker::new().max_preemptions(2).check(|| {
-        let store = Arc::new(AtomicCounters::with_len(1));
-        let (s1, s2) = (Arc::clone(&store), Arc::clone(&store));
-        let t1 = thread::spawn(move || s1.fetch_add(0, 1));
-        let t2 = thread::spawn(move || s2.fetch_add(0, 2));
-        store.fetch_add(0, 4);
-        t1.join().unwrap();
-        t2.join().unwrap();
-        assert_eq!(store.load(0), 7, "a CAS increment was lost");
-    });
-    assert!(report.complete, "state space must be exhausted");
-}
-
-/// Concurrent saturating subtract never drives a counter below zero
-/// (no wrap-around to huge values), whatever the interleaving.
-#[test]
-fn cas_sub_never_underflows() {
-    let report = Checker::new().max_preemptions(2).check(|| {
-        let store = Arc::new(AtomicCounters::with_len(1));
-        store.fetch_add(0, 1);
-        let s1 = Arc::clone(&store);
-        let t1 = thread::spawn(move || s1.fetch_sub_saturating(0, 2));
-        store.fetch_sub_saturating(0, 1);
-        t1.join().unwrap();
-        let v = store.load(0);
-        assert!(v <= 1, "saturating sub underflowed: {v}");
-    });
-    assert!(report.complete, "state space must be exhausted");
-}
-
-/// Near-`u64::MAX` concurrent adds saturate instead of wrapping: a
-/// wrapped counter would transiently report a tiny value — a false
-/// negative the MS one-sided contract forbids.
-#[test]
-fn cas_add_saturates_instead_of_wrapping() {
-    let report = Checker::new().max_preemptions(2).check(|| {
-        let store = Arc::new(AtomicCounters::with_len(1));
-        store.fetch_add(0, u64::MAX - 1);
-        let s1 = Arc::clone(&store);
-        let t1 = thread::spawn(move || s1.fetch_add(0, 3));
-        store.fetch_add(0, 2);
-        t1.join().unwrap();
-        assert_eq!(
-            store.load(0),
-            u64::MAX,
-            "counter wrapped instead of saturating"
-        );
-    });
-    assert!(report.complete, "state space must be exhausted");
-}
+use spectral_bloom::{MsSbf, ShardedSketch, SketchReader};
 
 /// The snapshot version-stamp protocol, save-during-ingest shape: a
 /// snapshot the cache serves as *fresh* must contain every mutation that
@@ -168,23 +111,6 @@ fn union_under_concurrent_insert_stays_one_sided() {
         );
         writer.join().unwrap();
         assert!(sketch.estimate(&2u64) >= 1);
-    });
-    assert!(report.complete, "state space must be exhausted");
-}
-
-/// Lock-free `AtomicMsSbf` ingest from two threads: the one-sided bound
-/// and the exact total both hold in every interleaving.
-#[test]
-fn atomic_ms_concurrent_ingest_is_one_sided_and_total_exact() {
-    let report = Checker::new().max_preemptions(2).check(|| {
-        let sbf = Arc::new(AtomicMsSbf::new(8, 1, 7));
-        let s1 = Arc::clone(&sbf);
-        let t1 = thread::spawn(move || s1.insert_by(&1u64, 3));
-        sbf.insert_by(&2u64, 2);
-        t1.join().unwrap();
-        assert!(sbf.estimate(&1u64) >= 3, "one-sided bound broken for key 1");
-        assert!(sbf.estimate(&2u64) >= 2, "one-sided bound broken for key 2");
-        assert_eq!(sbf.total_count(), 5, "total_count lost an increment");
     });
     assert!(report.complete, "state space must be exhausted");
 }

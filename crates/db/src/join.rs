@@ -97,9 +97,8 @@ fn exact_groups(r: &Relation, s: &Relation, threshold: Option<u64>) -> HashMap<u
 /// `threshold`.
 ///
 /// Accepting any reader means the coordinator-side synopsis can just as
-/// well be a concurrent backend — an `AtomicMsSbf` fed by parallel ingest
-/// threads, or a `ShardedSketch`/`SharedSketch` — without a copy into a
-/// single-threaded sketch first.
+/// well be a concurrent backend — a `ShardedSketch` fed by parallel
+/// ingest threads — without a copy into a single-threaded sketch first.
 pub fn threshold_groups<SK: SketchReader>(
     sketch: &SK,
     r: &Relation,
@@ -426,15 +425,17 @@ mod tests {
 
     #[test]
     fn threshold_groups_accepts_a_concurrent_backend() {
-        // The final scan is generic over SketchReader, so a lock-free
-        // AtomicMsSbf filled by parallel ingest threads can answer the
-        // grouped query directly — no copy into a single-threaded sketch.
+        // The final scan is generic over SketchReader, so a ShardedSketch
+        // filled by parallel ingest threads can answer the grouped query
+        // directly — no snapshot into a single-threaded sketch.
         let (r, s) = test_relations();
         let plan = JoinPlan::sized_for(400, 17);
-        let atomic = spectral_bloom::AtomicMsSbf::new(plan.m, plan.k, plan.seed);
+        let sharded = spectral_bloom::ShardedSketch::with_shards(4, |_| {
+            spectral_bloom::MsSbf::new(plan.m, plan.k, plan.seed)
+        });
         std::thread::scope(|scope| {
             for chunk in s.tuples.chunks(s.tuples.len().div_ceil(4)) {
-                let handle = &atomic;
+                let handle = &sharded;
                 scope.spawn(move || {
                     for t in chunk {
                         handle.insert(&t.key);
@@ -442,7 +443,7 @@ mod tests {
                 });
             }
         });
-        let groups = threshold_groups(&atomic, &r, 1);
+        let groups = threshold_groups(&sharded, &r, 1);
         let s_counts = s.group_counts();
         for (key, &f_s) in &s_counts {
             let got = groups.get(key).copied().unwrap_or(0);

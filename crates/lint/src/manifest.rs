@@ -6,11 +6,11 @@
 //!
 //! ```toml
 //! [[site]]
-//! file = "crates/core/src/atomic_store.rs"
-//! func = "record"
-//! ordering = "Relaxed"
-//! count = 2
-//! invariant = "counter cells are independent; totals read after join"
+//! file = "crates/core/src/sharded.rs"
+//! func = "snapshot_cached"
+//! ordering = "Acquire"
+//! count = 1
+//! invariant = "stamp read before any shard read-lock; staleness only rebuilds"
 //! ```
 //!
 //! A site is keyed by `(file, func, ordering)`; `count` is the number of
@@ -198,11 +198,11 @@ mod tests {
     #[test]
     fn roundtrips_through_render_and_parse() {
         let entries = vec![SiteEntry {
-            file: "crates/core/src/atomic_store.rs".into(),
-            func: "record".into(),
-            ordering: "Relaxed".into(),
+            file: "crates/core/src/sharded.rs".into(),
+            func: "snapshot_cached".into(),
+            ordering: "Acquire".into(),
             count: 2,
-            invariant: "counter cells are independent".into(),
+            invariant: "stamp read before any shard read-lock".into(),
             line: 0,
         }];
         let text = render(&entries);

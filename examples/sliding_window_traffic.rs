@@ -6,7 +6,7 @@
 //! example uses the Recurring Minimum SBF (Minimal Increase would corrupt,
 //! as the paper's Figure 9 shows). The window itself is serial — sliding a
 //! window is an ordered operation — but the sketch is a hash-sharded
-//! `SharedSketch`, so the separate long-term-volume tally can ingest the
+//! `ShardedSketch`, so the separate long-term-volume tally can ingest the
 //! same packets from 4 producer threads concurrently. An `mpsc` channel is
 //! the packet bus.
 //!
@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 
 use sbf_workloads::ZipfWorkload;
-use spectral_bloom::{RmSbf, SharedSketch, SketchReader};
+use spectral_bloom::{RmSbf, ShardedSketch, SketchReader};
 
 const WINDOW: usize = 20_000;
 
@@ -34,14 +34,14 @@ fn main() {
         .map(<[u64]>::to_vec)
         .collect();
 
-    let window_sketch = SharedSketch::new(RmSbf::new(16_000, 5, 3));
-    let window_keeper = window_sketch.clone();
-    let volume_sketch = SharedSketch::with_shards(4, |_| RmSbf::new(16_000, 5, 7));
+    let window_sketch = ShardedSketch::from_shards(vec![RmSbf::new(16_000, 5, 3)]);
+    let window_keeper = &window_sketch;
+    let volume_sketch = ShardedSketch::with_shards(4, |_| RmSbf::new(16_000, 5, 7));
 
     std::thread::scope(|scope| {
         for chunk in chunks {
             let tx = tx.clone();
-            let volume = volume_sketch.clone();
+            let volume = &volume_sketch;
             scope.spawn(move || {
                 for batch in chunk.chunks(512) {
                     volume.insert_batch(batch);
